@@ -442,15 +442,10 @@ fn bench_topology_round(c: &mut Criterion) {
 
 /// Sparse-topology phases at scale: one full phase (push round +
 /// end-phase delivery) on the agent backend (exact process O over the
-/// materialized graph, O(n) per round) vs the degree-class block-counting
-/// backend (Poissonized process P over the `C × k` class matrix, O(k²·C)
-/// per phase) at n = 10⁶ and 10⁷. This is the acceptance benchmark of the
-/// block-counting backend: at n = 10⁷ a ring phase must cost ≤ 100 µs —
-/// more than 1000× under the agent backend's phase at the same size. The
-/// torus arm runs at 10⁶ only (10⁷ is not a perfect square), and the
-/// agent arm at 10⁷ runs the ring only (a random 8-regular graph at that
-/// size spends gigabytes on the CSR and minutes in construction for no
-/// extra information — the per-message cost is already visible at 10⁶).
+/// materialized graph, O(n) per round) at n = 10⁶ and 10⁷. The arm at
+/// 10⁷ runs the ring only (a random 8-regular graph at that size spends
+/// gigabytes on the CSR and minutes in construction for no extra
+/// information — the per-message cost is already visible at 10⁶).
 fn bench_topology_phase_scaling(c: &mut Criterion) {
     let k = 3usize;
     let mut group = c.benchmark_group("pushsim_topology_phase");
@@ -484,36 +479,6 @@ fn bench_topology_phase_scaling(c: &mut Criterion) {
         );
     }
 
-    let block_arms: [(TopologySpec, usize); 5] = [
-        (TopologySpec::Ring, 1_000_000),
-        (TopologySpec::Torus2D, 1_000_000),
-        (TopologySpec::RandomRegular { degree: 8 }, 1_000_000),
-        (TopologySpec::Ring, 10_000_000),
-        (TopologySpec::RandomRegular { degree: 8 }, 10_000_000),
-    ];
-    for (topology, n) in block_arms {
-        group.bench_with_input(
-            BenchmarkId::new(format!("block_{topology}"), n),
-            &n,
-            |b, &n| {
-                let noise = NoiseMatrix::uniform(k, 0.2).expect("valid noise");
-                let config = SimConfig::builder(n, k)
-                    .seed(16)
-                    .delivery(DeliverySemantics::Poissonized)
-                    .topology(topology)
-                    .build()
-                    .expect("valid config");
-                let mut net =
-                    pushsim::BlockCountingNetwork::new(config, noise).expect("valid network");
-                net.seed_counts(&[n / 2, n / 4, n / 4]).expect("valid counts");
-                b.iter(|| {
-                    net.begin_phase();
-                    net.push_round_all_opinionated();
-                    net.end_phase().total()
-                });
-            },
-        );
-    }
     group.finish();
 }
 

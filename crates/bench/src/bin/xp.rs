@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! xp list [--json]                # all registered experiments
-//! xp run f2 [--full --json --backend agent|counting|blockcounting|auto --trials N --seed S]
+//! xp run f2 [--full --json --backend agent|counting|auto --trials N --seed S]
 //! xp run --spec path.spec [...]   # run a scenario spec file
 //! xp show f2 [--full]             # print a spec-backed experiment's spec text
 //! xp campaign --spec c.spec [--seeds N --tolerance T --slack S]
@@ -20,8 +20,8 @@
 //! Exit codes: 0 on success (campaigns: every oracle passed; load: every
 //! response verified), 1 on run failures (campaigns: an oracle violation,
 //! with a ready-to-paste replay command; load: dropped or corrupted
-//! responses), 2 on usage errors (unknown command/experiment, unreadable
-//! spec file, malformed flags).
+//! responses), 2 on usage errors (unknown command/experiment, a spec file
+//! `xp run --spec` cannot read, parse or validate, malformed flags).
 
 use gossip_analysis::table::Table;
 use noisy_bench::campaign::{self, CampaignOptions};
@@ -214,20 +214,24 @@ fn run_spec_file(path: &str, cli: &Cli) -> ExitCode {
         }
     };
     // Parse errors keep their 1-based line numbers, prefixed with the path.
+    // A spec that does not parse or validate asks for a run the simulator
+    // does not admit: a usage error, like a malformed flag.
     let mut spec = match ScenarioSpec::from_text(&text) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     registry::apply_cli(&mut spec, cli);
     cli.note(&format!("running spec {path} ({} scenario)\n", spec.kind.name()));
+    // CLI overrides (e.g. `--backend counting` on a sparse spec) can
+    // still make the spec inadmissible.
     let runner = match Runner::new(spec) {
         Ok(runner) => runner,
         Err(e) => {
             eprintln!("error: {path}: {e}");
-            return ExitCode::FAILURE;
+            return ExitCode::from(2);
         }
     };
     if cli.stream {

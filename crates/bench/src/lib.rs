@@ -45,7 +45,7 @@ use gossip_analysis::ci::WilsonInterval;
 use gossip_analysis::stats::SampleStats;
 use gossip_analysis::table::Table;
 use noisy_channel::NoiseMatrix;
-use plurality_core::{ExecutionBackend, Outcome, ProtocolParams, TwoStageProtocol};
+use plurality_core::{ExecutionBackend, Outcome, ProtocolError, ProtocolParams, TwoStageProtocol};
 use pushsim::Opinion;
 
 /// Scale of an experiment run: a reduced grid for quick checks or the full
@@ -89,7 +89,7 @@ impl Scale {
 ///   trajectory specs) instead of one table at the end. Spec-backed
 ///   experiments and `--spec` files stream natively; composite
 ///   experiments fall back to JSON-at-the-end;
-/// * `--backend agent|counting|blockcounting|auto` (or `--backend=…`) — which simulation
+/// * `--backend agent|counting|auto` (or `--backend=…`) — which simulation
 ///   backend protocol runs execute on (when absent, the spec/experiment
 ///   default applies — usually [`ExecutionBackend::Auto`], which resolves
 ///   per run from the calibrated cost model; see
@@ -157,7 +157,7 @@ options:
   --full               run the full experiment grid (default: reduced quick grid)
   --json               emit result tables as JSON lines
   --stream             stream result rows as JSON lines while the run progresses
-  --backend <agent|counting|blockcounting|auto>
+  --backend <agent|counting|auto>
                        simulation backend for protocol runs
   --trials <N>         override the number of trials/repetitions per cell
   --seed <S>           override the base RNG seed
@@ -373,10 +373,9 @@ pub fn rumor_spreading_trials_from(
     trials: u64,
 ) -> TrialSummary {
     run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_rumor_spreading_on(backend, source)
-            .expect("harness supplies a valid source opinion")
+        protocol.run_rumor_spreading_on(backend, source)
     })
+    .expect("harness supplies a valid source opinion")
 }
 
 /// Runs `trials` independent plurality-consensus executions from the given
@@ -409,10 +408,9 @@ pub fn plurality_trials_on(
     trials: u64,
 ) -> TrialSummary {
     run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_plurality_consensus_on(backend, initial_counts)
-            .expect("harness supplies valid counts")
+        protocol.run_plurality_consensus_on(backend, initial_counts)
     })
+    .expect("harness supplies valid counts")
 }
 
 /// Runs `trials` independent Stage-2-only executions (the amplification
@@ -430,20 +428,22 @@ pub fn stage2_only_trials_on(
     trials: u64,
 ) -> TrialSummary {
     run_trials(params, noise, trials, |protocol| {
-        protocol
-            .run_stage2_only_on(backend, initial_counts)
-            .expect("harness supplies valid counts")
+        protocol.run_stage2_only_on(backend, initial_counts)
     })
+    .expect("harness supplies valid counts")
 }
 
+/// Runs `trials` reseeded executions of `run` across the available cores
+/// and aggregates them in trial order. A failing execution surfaces as
+/// the error of the lowest-numbered failing trial.
 pub(crate) fn run_trials<F>(
     params: &ProtocolParams,
     noise: &NoiseMatrix,
     trials: u64,
     run: F,
-) -> TrialSummary
+) -> Result<TrialSummary, ProtocolError>
 where
-    F: Fn(&TwoStageProtocol) -> Outcome + Sync,
+    F: Fn(&TwoStageProtocol) -> Result<Outcome, ProtocolError> + Sync,
 {
     assert!(trials > 0, "need at least one trial");
     // Trials are independent and each is deterministic in its derived seed,
@@ -455,7 +455,7 @@ where
         .unwrap_or(1)
         .min(trials);
     let next_trial = std::sync::atomic::AtomicU64::new(0);
-    let finished: std::sync::Mutex<Vec<(u64, Outcome)>> =
+    let finished: std::sync::Mutex<Vec<(u64, Result<Outcome, ProtocolError>)>> =
         std::sync::Mutex::new(Vec::with_capacity(trials as usize));
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -475,8 +475,12 @@ where
             });
         }
     });
-    let mut outcomes = finished.into_inner().expect("all workers joined");
-    outcomes.sort_by_key(|&(trial, _)| trial);
+    let mut finished = finished.into_inner().expect("all workers joined");
+    finished.sort_by_key(|(trial, _)| *trial);
+    let outcomes = finished
+        .into_iter()
+        .map(|(_, outcome)| outcome)
+        .collect::<Result<Vec<_>, _>>()?;
 
     let mut successes = 0u64;
     let mut consensus = 0u64;
@@ -486,7 +490,7 @@ where
     let mut messages = SampleStats::new();
     let mut memory_bits = SampleStats::new();
     let mut stage1_bias = SampleStats::new();
-    for (_, outcome) in &outcomes {
+    for outcome in &outcomes {
         if outcome.succeeded() {
             successes += 1;
         }
@@ -511,7 +515,7 @@ where
             stage1_bias.push(last_stage1);
         }
     }
-    TrialSummary {
+    Ok(TrialSummary {
         success: WilsonInterval::from_trials(successes, trials),
         consensus: WilsonInterval::from_trials(consensus, trials),
         correct: WilsonInterval::from_trials(correct, trials),
@@ -520,7 +524,7 @@ where
         messages,
         memory_bits,
         stage1_bias,
-    }
+    })
 }
 
 /// Clones `params` with a different seed (all other fields preserved).

@@ -14,8 +14,8 @@
 //!   the scenario level (F8's delivery-semantics statistics, F4/T4's
 //!   analytic bounds). These still honour the shared [`Cli`] flags.
 //!
-//! The registered names are `f1`–`f8`, `t1`–`t4`, `a1`, `topo`, `topoxl`,
-//! `churn`, `burst` and `scale`.
+//! The registered names are `f1`–`f8`, `t1`–`t4`, `a1`, `topo`, `churn`,
+//! `burst` and `scale`.
 
 use crate::runner::{PointResult, PointSummary, Runner};
 use crate::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec};
@@ -133,7 +133,7 @@ pub fn apply_cli(spec: &mut ScenarioSpec, cli: &Cli) {
     }
 }
 
-static EXPERIMENTS: [Experiment; 18] = [
+static EXPERIMENTS: [Experiment; 17] = [
     Experiment {
         name: "f1",
         title: "rounds to consensus vs n (Theorem 1: O(log n / eps^2) rumor spreading)",
@@ -203,11 +203,6 @@ static EXPERIMENTS: [Experiment; 18] = [
         name: "topo",
         title: "plurality consensus across communication topologies (complete vs sparse graphs)",
         kind: ExperimentKind::Spec(topo_spec),
-    },
-    Experiment {
-        name: "topoxl",
-        title: "sparse-topology consensus at n = 10^6 (10^7 with --full) on the block-counting backend",
-        kind: ExperimentKind::Spec(topo_xl_spec),
     },
     Experiment {
         name: "churn",
@@ -411,8 +406,7 @@ fn t3_spec(scale: Scale) -> ScenarioSpec {
 /// schedule's `O(log n / ε²)` budget stops being sufficient — exactly the
 /// gap to the LOCAL-model literature the repo tracks. With the default
 /// exact delivery every point runs the agent backend on the materialized
-/// graph; [`topo_xl_spec`] re-runs the vertex-transitive families at
-/// n = 10⁶–10⁷ under Poissonized delivery on the block-counting backend.
+/// graph (the only way sparse topologies run).
 ///
 /// `n` is a perfect square at both scales so the torus points are
 /// feasible; `er(0.01)` gives mean degree ≈ 10 at quick scale
@@ -439,47 +433,6 @@ fn topo_spec(scale: Scale) -> ScenarioSpec {
         TopologySpec::RandomRegular { degree: 8 },
         TopologySpec::ErdosRenyi { p: er_p },
     ];
-    spec.metrics = vec![
-        Metric::Success,
-        Metric::Consensus,
-        Metric::Share,
-        Metric::Rounds,
-    ];
-    spec
-}
-
-/// `topoxl` — the `topo` scenario family at population scales only the
-/// degree-class block-counting backend reaches: the same biased plurality
-/// instance on the certified vertex-transitive families at n = 10⁶ (quick)
-/// and n = 10⁷ (`--full`), pinned to `backend = blockcounting` with
-/// Poissonized delivery so every phase costs O(k²·C) instead of O(n).
-///
-/// The torus needs a perfect square, so it appears only in the quick sweep
-/// (10⁶ = 1000²; 10⁷ has no integer square root). Erdős–Rényi is outside
-/// the backend's certified set and stays in the agent-backed `topo` run.
-fn topo_xl_spec(scale: Scale) -> ScenarioSpec {
-    let n = scale.pick(1_000_000, 10_000_000);
-    let mut spec = ScenarioSpec::new(
-        ScenarioKind::PluralityConsensus {
-            init: InitSpec::Biased { bias: 0.2 },
-        },
-        n,
-        3,
-    );
-    spec.epsilon = 0.25;
-    spec.noise = NoiseSpec::Uniform { epsilon: 0.25 };
-    spec.trials = scale.pick(2, 3);
-    spec.seed = 0x71;
-    spec.backend = ExecutionBackend::BlockCounting;
-    spec.delivery = DeliverySemantics::Poissonized;
-    spec.sweep.topology = scale.pick(
-        vec![
-            TopologySpec::Ring,
-            TopologySpec::Torus2D,
-            TopologySpec::RandomRegular { degree: 8 },
-        ],
-        vec![TopologySpec::Ring, TopologySpec::RandomRegular { degree: 8 }],
-    );
     spec.metrics = vec![
         Metric::Success,
         Metric::Consensus,
@@ -972,13 +925,12 @@ mod tests {
     #[test]
     fn registry_names_are_unique_and_findable() {
         let mut names: Vec<&str> = all().iter().map(|e| e.name).collect();
-        assert_eq!(names.len(), 18, "all 18 experiments are registered");
+        assert_eq!(names.len(), 17, "all 17 experiments are registered");
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 18, "names are unique");
+        assert_eq!(names.len(), 17, "names are unique");
         assert!(find("f2").is_some());
         assert!(find("topo").is_some());
-        assert!(find("topoxl").is_some());
         assert!(find("churn").is_some());
         assert!(find("burst").is_some());
         assert!(find("scale").is_some());
@@ -1026,27 +978,6 @@ mod tests {
             let side = (spec.n as f64).sqrt() as usize;
             assert_eq!(side * side, spec.n);
         }
-    }
-
-    #[test]
-    fn topo_xl_spec_stays_on_the_certified_set_at_both_scales() {
-        for scale in [Scale::Quick, Scale::Full] {
-            let spec = topo_xl_spec(scale);
-            spec.validate().expect("topoxl spec validates");
-            assert_eq!(spec.backend, ExecutionBackend::BlockCounting);
-            assert_eq!(spec.delivery, DeliverySemantics::Poissonized);
-            for topology in &spec.sweep.topology {
-                assert!(
-                    topology.is_vertex_transitive(),
-                    "{topology} is outside the block-counting certified set"
-                );
-                topology.check(spec.n).expect("feasible at the swept n");
-            }
-        }
-        // The torus rides along only where n is a perfect square.
-        assert_eq!(topo_xl_spec(Scale::Quick).sweep.topology.len(), 3);
-        assert_eq!(topo_xl_spec(Scale::Full).sweep.topology.len(), 2);
-        assert_eq!(topo_xl_spec(Scale::Full).n, 10_000_000);
     }
 
     #[test]

@@ -43,12 +43,12 @@ use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
 use noisy_channel::NoiseMatrix;
-use opinion_dynamics::RuleSpec;
+use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
 use plurality_core::{bounds, ExecutionBackend, ProtocolParams, TwoStageProtocol};
 use pushsim::{
-    BlockCountingNetwork, ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
-    Network, NoiseSchedule, Opinion, PhaseObservation, PushBackend, SimConfig, TopologySpec,
+    ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec, Network, NoiseSchedule,
+    Opinion, PhaseObservation, PushBackend, SimConfig, TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -595,7 +595,12 @@ impl Runner {
         let stop = spec.stop.to_condition();
         Ok(match &spec.kind {
             ScenarioKind::RumorSpreading { source } => PointSummary::Protocol(
-                self.protocol_trials(params, noise, &stop, ProtocolRun::Rumor(Opinion::new(*source))),
+                self.protocol_trials(
+                    params,
+                    noise,
+                    &stop,
+                    ProtocolRun::Rumor(Opinion::new(*source)),
+                )?,
             ),
             ScenarioKind::PluralityConsensus { init } => {
                 let counts = resolve_counts(init, point);
@@ -605,7 +610,7 @@ impl Runner {
                     noise,
                     &stop,
                     ProtocolRun::Plurality(&counts),
-                ))
+                )?)
             }
             ScenarioKind::Stage2Only { init } => {
                 let counts = resolve_counts(init, point);
@@ -615,7 +620,7 @@ impl Runner {
                     noise,
                     &stop,
                     ProtocolRun::Stage2(&counts),
-                ))
+                )?)
             }
             ScenarioKind::DynamicsRule { rule, init, rounds } => {
                 let counts = resolve_counts(init, point);
@@ -634,19 +639,18 @@ impl Runner {
     /// Runs the protocol trials of one grid point through the shared
     /// parallel harness, with the spec's stop condition and no observer —
     /// bit-identical to the pre-observation harness when no `stop.*` key
-    /// is set.
+    /// is set. A trial that fails to run surfaces as a typed error.
     fn protocol_trials(
         &self,
         params: &ProtocolParams,
         noise: &NoiseMatrix,
         stop: &StopCondition,
         run: ProtocolRun<'_>,
-    ) -> TrialSummary {
+    ) -> Result<TrialSummary, SpecError> {
         let backend = self.spec.backend;
-        run_trials(params, noise, self.spec.trials, |protocol| {
+        Ok(run_trials(params, noise, self.spec.trials, |protocol| {
             run.execute(protocol, backend, stop, &mut NoObserver)
-                .expect("the runner validated the configuration")
-        })
+        })?)
     }
 
     /// Runs the observed (trajectory / per-phase aggregate) path of one
@@ -762,61 +766,9 @@ impl Runner {
                 let plurality = validate_counts(params, noise, &counts)?;
                 let budget = rounds.unwrap_or_else(|| params.schedule().total_rounds());
                 let stop = dynamics_stop(budget, stop);
-                let resolved = spec.backend.resolve(
-                    point.n,
-                    point.k,
-                    spec.delivery,
-                    point.topology,
-                    point.fault,
-                    point.churn,
-                    point.clock,
-                );
-                let config = SimConfig::builder(point.n, point.k)
-                    .seed(derive_seed(spec.seed, point.index, trial))
-                    .delivery(spec.delivery)
-                    .topology(point.topology)
-                    .build()?;
-                let mut rng = StdRng::seed_from_u64(derive_seed(
-                    spec.seed ^ DECISION_SEED_SALT,
-                    point.index,
-                    trial,
-                ));
-                match resolved {
-                    ExecutionBackend::Agent => {
-                        let mut net = Network::new(config, noise.clone())?;
-                        net.seed_counts(&counts)?;
-                        rule.build::<Network>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::Counting => {
-                        let mut net = CountingNetwork::new(config, noise.clone())?;
-                        PushBackend::seed_counts(&mut net, &counts)?;
-                        rule.build::<CountingNetwork>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::BlockCounting => {
-                        let mut net = BlockCountingNetwork::new(config, noise.clone())?;
-                        PushBackend::seed_counts(&mut net, &counts)?;
-                        rule.build::<BlockCountingNetwork>().run_until(
-                            &mut net,
-                            &mut rng,
-                            Some(plurality),
-                            &stop,
-                            observer,
-                        );
-                    }
-                    ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
-                }
+                self.dynamics_trial(
+                    point, *rule, &counts, plurality, noise, trial, &stop, observer,
+                )?;
                 Ok(())
             }
             ScenarioKind::SampleMajorityGap { .. } | ScenarioKind::PhaseStats { .. } => {
@@ -920,15 +872,6 @@ impl Runner {
         noise: &NoiseMatrix,
     ) -> Result<DynamicsSummary, SpecError> {
         let spec = &self.spec;
-        let resolved = spec.backend.resolve(
-            point.n,
-            point.k,
-            spec.delivery,
-            point.topology,
-            point.fault,
-            point.churn,
-            point.clock,
-        );
         let stop = dynamics_stop(budget, &spec.stop.to_condition());
 
         let mut consensus = 0u64;
@@ -936,52 +879,16 @@ impl Runner {
         let mut share = SampleStats::new();
         let mut rounds = SampleStats::new();
         for trial in 0..spec.trials {
-            let config = SimConfig::builder(point.n, point.k)
-                .seed(derive_seed(spec.seed, point.index, trial))
-                .delivery(spec.delivery)
-                .topology(point.topology)
-                .build()?;
-            let mut rng = StdRng::seed_from_u64(derive_seed(
-                spec.seed ^ DECISION_SEED_SALT,
-                point.index,
+            let outcome = self.dynamics_trial(
+                point,
+                rule,
+                counts,
+                plurality,
+                noise,
                 trial,
-            ));
-            let outcome = match resolved {
-                ExecutionBackend::Agent => {
-                    let mut net = Network::new(config, noise.clone())?;
-                    net.seed_counts(counts)?;
-                    rule.build::<Network>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::Counting => {
-                    let mut net = CountingNetwork::new(config, noise.clone())?;
-                    PushBackend::seed_counts(&mut net, counts)?;
-                    rule.build::<CountingNetwork>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::BlockCounting => {
-                    let mut net = BlockCountingNetwork::new(config, noise.clone())?;
-                    PushBackend::seed_counts(&mut net, counts)?;
-                    rule.build::<BlockCountingNetwork>().run_until(
-                        &mut net,
-                        &mut rng,
-                        Some(plurality),
-                        &stop,
-                        &mut NoObserver,
-                    )
-                }
-                ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
-            };
+                &stop,
+                &mut NoObserver,
+            )?;
             if outcome.converged() {
                 consensus += 1;
             }
@@ -998,6 +905,71 @@ impl Runner {
             share,
             rounds,
         })
+    }
+
+    /// Runs one dynamics trial of `point` on the backend the spec
+    /// resolves to. The `(point, trial)` cell derives its delivery and
+    /// decision seeds from the base seed, so observed and unobserved runs
+    /// of the same cell are identical.
+    // The cell's coordinates plus the run's inputs; the two callers hold
+    // them as separate locals, so a bundle struct would only move the list.
+    #[allow(clippy::too_many_arguments)]
+    fn dynamics_trial(
+        &self,
+        point: GridPoint,
+        rule: RuleSpec,
+        counts: &[usize],
+        plurality: Opinion,
+        noise: &NoiseMatrix,
+        trial: u64,
+        stop: &StopCondition,
+        observer: &mut dyn Observer,
+    ) -> Result<DynamicsOutcome, SpecError> {
+        let spec = &self.spec;
+        let config = SimConfig::builder(point.n, point.k)
+            .seed(derive_seed(spec.seed, point.index, trial))
+            .delivery(spec.delivery)
+            .topology(point.topology)
+            .build()?;
+        let mut rng = StdRng::seed_from_u64(derive_seed(
+            spec.seed ^ DECISION_SEED_SALT,
+            point.index,
+            trial,
+        ));
+        fn run<B: PushBackend>(
+            mut net: B,
+            rule: RuleSpec,
+            counts: &[usize],
+            rng: &mut StdRng,
+            plurality: Opinion,
+            stop: &StopCondition,
+            observer: &mut dyn Observer,
+        ) -> Result<DynamicsOutcome, SpecError> {
+            net.seed_counts(counts)?;
+            Ok(rule
+                .build::<B>()
+                .run_until(&mut net, rng, Some(plurality), stop, observer))
+        }
+        let resolved = spec.backend.resolve(
+            point.n,
+            point.k,
+            spec.delivery,
+            point.topology,
+            point.fault,
+            point.churn,
+            point.clock,
+        );
+        match resolved {
+            ExecutionBackend::Agent => {
+                let net = Network::new(config, noise.clone())?;
+                run(net, rule, counts, &mut rng, plurality, stop, observer)
+            }
+            ExecutionBackend::Counting => {
+                let net = CountingNetwork::new(config, noise.clone())?;
+                run(net, rule, counts, &mut rng, plurality, stop, observer)
+            }
+            ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
+        }
     }
 }
 

@@ -42,14 +42,11 @@
 //! simple `d`-regular graph) or `er(p)` (Erdős–Rényi `G(n, p)`). The
 //! `sweep.topology` axis sweeps it, e.g.
 //! `sweep.topology = complete, ring, regular(8)`. Non-complete topologies
-//! run on the agent backend with exact (process O) delivery, or — for the
-//! vertex-transitive families (`ring`, `torus`, `regular(d)`) — on the
-//! degree-class block-counting backend (`backend = blockcounting`) with
-//! Poissonized (process P) delivery, where a phase costs O(k²·C)
-//! regardless of `n`. Process B and the plain counting backend remain
-//! complete-graph notions, and [`validate`](ScenarioSpec::validate)
-//! rejects inconsistent combinations (including topology parameters that
-//! are infeasible for the swept `n` values).
+//! run on the agent backend with exact (process O) delivery only:
+//! processes B and P and the counting backend are complete-graph notions,
+//! and [`validate`](ScenarioSpec::validate) rejects inconsistent
+//! combinations (including topology parameters that are infeasible for the
+//! swept `n` values).
 //!
 //! ## Faults
 //!
@@ -778,31 +775,19 @@ impl ScenarioSpec {
             if topology.is_complete() {
                 continue;
             }
-            // Each delivery the grid uses must be admissible on this
-            // topology: process O always (agent backend), process P on the
-            // vertex-transitive families only (the block-counting
-            // backend's certified set), process B never.
-            for &delivery in deliveries {
-                let admitted = match delivery {
-                    DeliverySemantics::Exact => true,
-                    DeliverySemantics::Poissonized => topology.is_vertex_transitive(),
-                    DeliverySemantics::BallsIntoBins => false,
-                };
-                if !admitted {
-                    return Err(SpecError::Invalid(format!(
-                        "topology {topology} does not admit {} delivery — sparse \
-                         graphs run process O on the agent backend, and the \
-                         vertex-transitive families additionally run process P \
-                         on the block-counting backend",
-                        delivery.spec_name()
-                    )));
-                }
+            // Processes B and P scatter a phase's messages into uniform
+            // bins, which would silently ignore the graph.
+            if let Some(delivery) = deliveries.iter().find(|d| **d != DeliverySemantics::Exact) {
+                return Err(SpecError::Invalid(format!(
+                    "topology {topology} does not admit {} delivery — sparse graphs \
+                     run agent-level with exact delivery only; use delivery = exact",
+                    delivery.spec_name()
+                )));
             }
             if self.backend == ExecutionBackend::Counting {
                 return Err(SpecError::Invalid(format!(
                     "topology {topology} cannot run on the counting backend \
-                     (it is statically complete-graph-only); use blockcounting, \
-                     agent or auto"
+                     (it is complete-graph-only); use agent or auto"
                 )));
             }
         }
@@ -850,12 +835,6 @@ impl ScenarioSpec {
             if let Some(bad) = self.effective_topologies().iter().find(|t| !t.is_complete()) {
                 return Err(SpecError::Invalid(format!(
                     "fault {fault} requires the complete graph, not topology {bad}"
-                )));
-            }
-            if self.backend == ExecutionBackend::BlockCounting {
-                return Err(SpecError::Invalid(format!(
-                    "fault {fault} cannot run on the block-counting backend \
-                     (it rejects all faults); use agent, counting or auto"
                 )));
             }
             if fault.delay > 0.0 && self.backend == ExecutionBackend::Counting {
@@ -963,20 +942,10 @@ impl ScenarioSpec {
                 {
                     return Err(SpecError::Invalid(format!(
                         "churn {churn} rewires edges, which requires a resampleable \
-                         random topology (regular(d) or gnp(p)), not {bad}"
+                         random topology (regular(d) or er(p)), not {bad}"
                     )));
                 }
-                if self.delivery != DeliverySemantics::Exact {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges between rounds, which requires \
-                         exact delivery (process O), not {}",
-                        self.delivery.spec_name()
-                    )));
-                }
-                if matches!(
-                    self.backend,
-                    ExecutionBackend::Counting | ExecutionBackend::BlockCounting
-                ) {
+                if self.backend == ExecutionBackend::Counting {
                     return Err(SpecError::Invalid(format!(
                         "churn {churn} rewires edges, which only the agent backend \
                          simulates; use agent or auto"
@@ -1018,25 +987,11 @@ impl ScenarioSpec {
             if clock.is_sync() {
                 continue;
             }
-            if matches!(
-                self.backend,
-                ExecutionBackend::Counting | ExecutionBackend::BlockCounting
-            ) {
+            if self.backend == ExecutionBackend::Counting {
                 return Err(SpecError::Invalid(format!(
                     "clock {clock} desynchronizes agents, which the aggregate \
                      counting backends cannot represent; use agent or auto"
                 )));
-            }
-            if self.delivery != DeliverySemantics::Exact {
-                if let Some(bad) =
-                    self.effective_topologies().iter().find(|t| !t.is_complete())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "clock {clock} on topology {bad} requires exact delivery \
-                         (process O), not {}",
-                        self.delivery.spec_name()
-                    )));
-                }
             }
         }
         Ok(())
@@ -1521,7 +1476,6 @@ fn backend_name(backend: ExecutionBackend) -> &'static str {
     match backend {
         ExecutionBackend::Agent => "agent",
         ExecutionBackend::Counting => "counting",
-        ExecutionBackend::BlockCounting => "blockcounting",
         ExecutionBackend::Auto => "auto",
     }
 }
@@ -1736,22 +1690,20 @@ mod tests {
 
     #[test]
     fn topology_validation_rejects_inconsistent_combinations() {
-        // Non-complete topologies never admit process B…
-        let mut spec = rumor_spec();
-        spec.topology = TopologySpec::Ring;
-        spec.delivery = DeliverySemantics::BallsIntoBins;
-        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
-        // …admit process P only on the vertex-transitive families (ring is
-        // fine — that is the block-counting backend's home turf — but
-        // Erdős–Rényi is not)…
-        let mut spec = rumor_spec();
-        spec.topology = TopologySpec::Ring;
-        spec.delivery = DeliverySemantics::Poissonized;
-        assert!(spec.validate().is_ok());
-        let mut spec = rumor_spec();
-        spec.topology = TopologySpec::ErdosRenyi { p: 0.01 };
-        spec.delivery = DeliverySemantics::Poissonized;
-        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
+        // Non-complete topologies admit neither process B nor process P,
+        // and the error names the delivery that works…
+        for topology in [TopologySpec::Ring, TopologySpec::ErdosRenyi { p: 0.01 }] {
+            for delivery in [DeliverySemantics::BallsIntoBins, DeliverySemantics::Poissonized] {
+                let mut spec = rumor_spec();
+                spec.topology = topology;
+                spec.delivery = delivery;
+                let err = spec.validate();
+                assert!(
+                    matches!(&err, Err(SpecError::Invalid(m)) if m.contains("delivery = exact")),
+                    "{topology} with {delivery:?}: {err:?}"
+                );
+            }
+        }
         // …and cannot be forced onto the counting backend.
         let mut spec = rumor_spec();
         spec.sweep.topology = vec![TopologySpec::Ring];
@@ -1835,11 +1787,6 @@ mod tests {
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
         spec.backend = ExecutionBackend::Auto;
         assert!(spec.validate().is_ok());
-        // The block-counting backend rejects every enabled fault family.
-        let mut spec = rumor_spec();
-        spec.fault = "drop(0.1)".parse().unwrap();
-        spec.backend = ExecutionBackend::BlockCounting;
-        assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
         // A crash the stop condition cuts off is dead weight.
         let mut spec = rumor_spec();
         spec.fault = "crash(0.1@50)".parse().unwrap();
@@ -1922,7 +1869,7 @@ mod tests {
         spec.topology = TopologySpec::RandomRegular { degree: 8 };
         assert!(spec.validate().is_ok());
         // …and only the agent backend simulates it.
-        spec.backend = ExecutionBackend::BlockCounting;
+        spec.backend = ExecutionBackend::Counting;
         assert!(matches!(spec.validate(), Err(SpecError::Invalid(_))));
         // A join opinion must exist at every swept k.
         let mut spec = rumor_spec();

@@ -25,12 +25,11 @@ fn every_registered_experiment_runs_at_quick_scale() {
     let cli = smoke_cli();
     for experiment in registry::all() {
         let mut cli = cli;
-        // `topo` and `topoxl` sweep non-complete topologies, which the
-        // counting backend statically cannot represent; the specs' own
-        // backends (auto, which resolves sparse points to agent, and the
-        // pinned block-counting backend) are the only meaningful choices
+        // `topo` sweeps non-complete topologies, which the counting
+        // backend cannot represent; the spec's own backend (auto, which
+        // resolves sparse points to agent) is the only meaningful choice
         // there.
-        if matches!(experiment.name, "topo" | "topoxl") {
+        if experiment.name == "topo" {
             cli.backend = None;
         }
         registry::run(experiment, &cli)

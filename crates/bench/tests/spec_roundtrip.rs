@@ -591,6 +591,20 @@ fn ramp_schedules_exclude_an_eps_sweep() {
 }
 
 #[test]
+fn edge_churn_hint_suggests_topology_spellings_that_parse() {
+    let err = load_error(
+        "scenario = rumor\nsource = 0\nn = 500\nk = 3\nchurn = rewire(0.2)\n",
+    );
+    for (family, example) in [("regular(d)", "regular(8)"), ("er(p)", "er(0.01)")] {
+        assert!(err.contains(family), "expected {family} in the hint, got: {err}");
+        assert!(
+            example.parse::<TopologySpec>().is_ok(),
+            "{example} must parse as the hint promises"
+        );
+    }
+}
+
+#[test]
 fn drifting_clocks_cannot_be_forced_onto_counting_backends() {
     let err = load_error(
         "scenario = rumor\nsource = 0\nn = 500\nk = 3\n\

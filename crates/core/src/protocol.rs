@@ -8,7 +8,7 @@ use crate::record::{PhaseRecord, StageId};
 use crate::{stage1, stage2};
 use noisy_channel::NoiseMatrix;
 use pushsim::{
-    BlockCountingNetwork, ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
+    ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
     Network, Opinion, OpinionDistribution, PushBackend, SimConfig, TopologySpec,
 };
 use rand::rngs::StdRng;
@@ -42,17 +42,11 @@ const COUNTING_NS_PER_CELL: f64 = 50.0;
 ///   final Stage 2 phase once `ℓ′ > 300`), and sample-majority adoption
 ///   beyond 65 536 switchers per phase uses an empirical-frequency bulk
 ///   split (≈ 0.4% perturbation); see the `pushsim::counting` docs.
-/// * [`BlockCounting`](ExecutionBackend::BlockCounting) — the degree-class
-///   [`BlockCountingNetwork`]: the population is a `C × k` matrix of
-///   (degree-class, opinion) counts, each phase costs O(k²·C) draws
-///   regardless of `n`, and the dynamics follow process P restricted by the
-///   class-to-class edge structure of the configured topology. It is the
-///   Poissonized engine for sparse vertex-transitive graphs (ring, torus,
-///   random-regular), where `C = 1` and phases are bit-for-bit the counting
-///   backend's; see the `pushsim::blockcounting` docs.
-/// * [`Auto`](ExecutionBackend::Auto) — picks one of the three per run from
-///   the topology's capability requirements and a calibrated cost model;
-///   see [`resolve`](ExecutionBackend::resolve).
+///   Complete-graph-only: the count-level reformulation rests on global
+///   agent exchangeability, which a sparse topology breaks.
+/// * [`Auto`](ExecutionBackend::Auto) — picks one of the two per run from
+///   the configuration and a calibrated cost model; see
+///   [`resolve`](ExecutionBackend::resolve).
 ///
 /// All concrete backends implement the same
 /// [`PushBackend`](pushsim::PushBackend) trait, so the protocol stages are
@@ -66,24 +60,19 @@ pub enum ExecutionBackend {
     Agent,
     /// Count-based simulation (process P at population level, O(k²)/phase).
     Counting,
-    /// Degree-class block-counting simulation (process P per degree class,
-    /// O(k²·C)/phase on sparse vertex-transitive topologies).
-    BlockCounting,
     /// Choose automatically per run, **without changing semantics**: the
-    /// count-based backends are only eligible when the run already requests
-    /// their native Poissonized delivery on a topology they certify
-    /// ([`TopologyCapability`](pushsim::TopologyCapability)); everything
-    /// else stays agent-level. Among eligible backends the calibrated cost
+    /// count-based backend is only eligible when the run already requests
+    /// its native Poissonized delivery on the complete graph; everything
+    /// else stays agent-level. When both are eligible the calibrated cost
     /// model picks the cheaper one.
     Auto,
 }
 
 impl ExecutionBackend {
-    /// Resolves this request to a concrete backend ([`Agent`],
-    /// [`Counting`](Self::Counting) or
-    /// [`BlockCounting`](Self::BlockCounting) — never [`Auto`](Self::Auto))
-    /// for a run with `num_nodes` agents, `num_opinions` opinions, the
-    /// given delivery semantics, communication topology and fault spec.
+    /// Resolves this request to a concrete backend ([`Agent`] or
+    /// [`Counting`](Self::Counting) — never [`Auto`](Self::Auto)) for a
+    /// run with `num_nodes` agents, `num_opinions` opinions, the given
+    /// delivery semantics, communication topology and fault spec.
     ///
     /// [`Agent`]: Self::Agent
     ///
@@ -91,7 +80,7 @@ impl ExecutionBackend {
     /// choice among backends that implement the requested process, never a
     /// silent change of process.
     ///
-    /// 1. **Delivery semantics first.** The count-based backends implement
+    /// 1. **Delivery semantics first.** The count-based backend implements
     ///    only the Poissonized process P, so requests for process O or B
     ///    resolve to `Agent` at *any* scale. (Historically Auto silently
     ///    switched exact runs above `n = 10⁵` to the counting backend's
@@ -100,19 +89,11 @@ impl ExecutionBackend {
     ///    delivery or a count-based backend explicitly; Claim 1 + Lemma 3
     ///    justify that substitution *statistically*, but it is now the
     ///    caller's stated intent instead of a hidden fallback.)
-    /// 2. **Topology capability.** Each backend certifies a topology set
-    ///    through [`PushBackend::TOPOLOGY_CAPABILITY`]: the counting
-    ///    backend is complete-graph-only, the block-counting backend
-    ///    certifies the vertex-transitive families (ring, torus,
-    ///    random-regular, complete), and the agent backend takes anything.
-    ///    A Poissonized run on a sparse vertex-transitive topology
-    ///    resolves to `BlockCounting` — the only backend that implements
-    ///    process P on those graphs (the agent backend's deferred delivery
-    ///    is complete-graph-only by construction).
-    /// 3. **Faults.** Any enabled fault keeps a sparse run agent-level
-    ///    (the block-counting backend rejects all faults), and
-    ///    delayed-delivery faults resolve complete-graph runs to `Agent` —
-    ///    the counting backend cannot buffer individual messages across
+    /// 2. **Topology.** The counting backend is complete-graph-only, so
+    ///    every non-complete topology resolves to `Agent` (which runs it
+    ///    with exact delivery only).
+    /// 3. **Faults.** Delayed-delivery faults resolve to `Agent` — the
+    ///    counting backend cannot buffer individual messages across
     ///    phase boundaries ([`PushBackend::SUPPORTS_DELAY_FAULTS`] is
     ///    `false` for it). The aggregatable fault families (drop,
     ///    duplication, crash, Byzantine) leave the counting backend
@@ -121,8 +102,7 @@ impl ExecutionBackend {
     ///    need per-agent identity
     ///    ([`PushBackend::TEMPORAL_CAPABILITY`]), so they resolve to
     ///    `Agent` on every topology; population churn and noise schedules
-    ///    are aggregate operations that keep the count-based backends
-    ///    eligible.
+    ///    are aggregate operations that keep the counting backend eligible.
     /// 5. **Cost model.** For Poissonized complete-graph runs, per-phase
     ///    cost is estimated as `1.5 ns · n · k` for the agent backend
     ///    (message volume dominates) vs `50 ns · k²` for the counting
@@ -130,7 +110,7 @@ impl ExecutionBackend {
     ///    backend wins. Constants are calibrated from the archived
     ///    `BENCH_pushsim.json` baseline.
     ///
-    /// Explicit `Agent` / `Counting` / `BlockCounting` requests are never
+    /// Explicit `Agent` / `Counting` requests are never
     /// overridden (an infeasible explicit request — counting on a ring —
     /// fails at network construction with
     /// [`SimError::UnsupportedTopology`](pushsim::SimError) instead of
@@ -149,9 +129,7 @@ impl ExecutionBackend {
         clock: ClockSpec,
     ) -> ExecutionBackend {
         match self {
-            ExecutionBackend::Agent
-            | ExecutionBackend::Counting
-            | ExecutionBackend::BlockCounting => self,
+            ExecutionBackend::Agent | ExecutionBackend::Counting => self,
             ExecutionBackend::Auto => {
                 // Per-agent temporal axes first: edge churn resamples a
                 // materialized graph and clock models gate individual
@@ -160,26 +138,12 @@ impl ExecutionBackend {
                 if !clock.is_sync() || churn.has_edge_churn() {
                     return ExecutionBackend::Agent;
                 }
-                // Count-based engines only ever represent the Poissonized
-                // delivery law; anything else is agent-level territory.
-                if !matches!(delivery, DeliverySemantics::Poissonized) {
+                // The counting backend only ever represents the Poissonized
+                // delivery law, and only on the complete graph (it needs
+                // global agent exchangeability); anything else is
+                // agent-level territory.
+                if delivery != DeliverySemantics::Poissonized || !topology.is_complete() {
                     return ExecutionBackend::Agent;
-                }
-                if !topology.is_complete() {
-                    // Sparse Poissonized runs belong to the block-counting
-                    // backend whenever it certifies the topology and no
-                    // fault is enabled (it rejects all faults). The agent
-                    // fallback fails loudly at construction — deferred
-                    // delivery is complete-graph-only there — rather than
-                    // silently ignoring the graph.
-                    let block_eligible = <BlockCountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY
-                        .supports(topology)
-                        && fault.is_none();
-                    return if block_eligible {
-                        ExecutionBackend::BlockCounting
-                    } else {
-                        ExecutionBackend::Agent
-                    };
                 }
                 // Complete graph: the counting backend is eligible unless
                 // the fault spec needs per-message delay buffering.
@@ -205,17 +169,15 @@ impl ExecutionBackend {
 impl std::str::FromStr for ExecutionBackend {
     type Err = String;
 
-    /// Parses `"agent"`, `"counting"`, `"blockcounting"` (also spelled
-    /// `"block-counting"` or `"block"`) or `"auto"` (case-insensitive) —
+    /// Parses `"agent"`, `"counting"` or `"auto"` (case-insensitive) —
     /// the spelling used by the experiment binaries' `--backend` flag.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "agent" => Ok(ExecutionBackend::Agent),
             "counting" => Ok(ExecutionBackend::Counting),
-            "blockcounting" | "block-counting" | "block" => Ok(ExecutionBackend::BlockCounting),
             "auto" => Ok(ExecutionBackend::Auto),
             other => Err(format!(
-                "unknown backend {other:?} (expected agent, counting, blockcounting or auto)"
+                "unknown backend {other:?} (expected agent, counting or auto)"
             )),
         }
     }
@@ -487,22 +449,18 @@ impl TwoStageProtocol {
     /// `ExecutionBackend` enum is matched on. Each continuation is usually
     /// the same generic function, monomorphized per backend; the observer
     /// is handed through so the closures can share the one `&mut`
-    /// borrow. A future fourth backend adds one arm here instead of one
-    /// per entry point.
+    /// borrow. A future backend adds one arm here instead of one per entry
+    /// point.
     fn dispatch<T>(
         &self,
         backend: ExecutionBackend,
         observer: &mut dyn Observer,
         agent: impl FnOnce(Network, &mut dyn Observer) -> Result<T, ProtocolError>,
         counting: impl FnOnce(CountingNetwork, &mut dyn Observer) -> Result<T, ProtocolError>,
-        block: impl FnOnce(BlockCountingNetwork, &mut dyn Observer) -> Result<T, ProtocolError>,
     ) -> Result<T, ProtocolError> {
         match self.resolve(backend) {
             ExecutionBackend::Agent => agent(self.build_network()?, observer),
             ExecutionBackend::Counting => counting(self.build_counting_network()?, observer),
-            ExecutionBackend::BlockCounting => {
-                block(self.build_block_counting_network()?, observer)
-            }
             ExecutionBackend::Auto => unreachable!("resolve never returns Auto"),
         }
     }
@@ -595,7 +553,7 @@ impl TwoStageProtocol {
         Ok(Opinion::new(plurality[0]))
     }
 
-    /// The run's [`SimConfig`], shared by all three network builders (the
+    /// The run's [`SimConfig`], shared by both network builders (the
     /// single place the protocol parameters map onto simulator knobs).
     fn sim_config(&self) -> Result<SimConfig, ProtocolError> {
         Ok(SimConfig::builder(self.params.num_nodes(), self.params.num_opinions())
@@ -617,11 +575,6 @@ impl TwoStageProtocol {
     /// Builds the count-based network for one run.
     fn build_counting_network(&self) -> Result<CountingNetwork, ProtocolError> {
         Ok(CountingNetwork::new(self.sim_config()?, self.noise.clone())?)
-    }
-
-    /// Builds the degree-class block-counting network for one run.
-    fn build_block_counting_network(&self) -> Result<BlockCountingNetwork, ProtocolError> {
-        Ok(BlockCountingNetwork::new(self.sim_config()?, self.noise.clone())?)
     }
 
     /// The RNG used for the protocol's own decisions (distinct from the
@@ -791,9 +744,6 @@ impl Session<'_> {
             |net, observer| {
                 protocol.run_rumor_spreading_generic(net, source_opinion, observer, &self.stop)
             },
-            |net, observer| {
-                protocol.run_rumor_spreading_generic(net, source_opinion, observer, &self.stop)
-            },
         )
     }
 
@@ -820,9 +770,6 @@ impl Session<'_> {
             |net, observer| {
                 protocol.run_plurality_generic(net, initial_counts, reference, observer, &self.stop)
             },
-            |net, observer| {
-                protocol.run_plurality_generic(net, initial_counts, reference, observer, &self.stop)
-            },
         )
     }
 
@@ -842,9 +789,6 @@ impl Session<'_> {
         protocol.dispatch(
             backend,
             observer,
-            |net, observer| {
-                protocol.run_stage2_generic(net, initial_counts, reference, observer, &self.stop)
-            },
             |net, observer| {
                 protocol.run_stage2_generic(net, initial_counts, reference, observer, &self.stop)
             },
@@ -1068,49 +1012,26 @@ mod tests {
             ExecutionBackend::Agent
         );
         // Non-complete topologies with exact delivery run agent-level,
-        // whatever the scale — the count-based backends only implement
+        // whatever the scale — the count-based backend only implements
         // process P.
         assert_eq!(
             ExecutionBackend::Auto.resolve(10_000_000, 3, Exact, TopologySpec::Ring, no_fault, no_churn, sync),
             ExecutionBackend::Agent
         );
-        // Poissonized runs on sparse vertex-transitive topologies resolve
-        // to the block-counting backend — the only engine implementing
-        // process P on those graphs — at every scale.
+        // Every non-complete topology resolves to Agent even when the
+        // delivery is Poissonized: the counting backend needs the complete
+        // graph.
         for spec in [
             TopologySpec::Ring,
             TopologySpec::Torus2D,
             TopologySpec::RandomRegular { degree: 8 },
+            TopologySpec::ErdosRenyi { p: 0.1 },
         ] {
             assert_eq!(
-                ExecutionBackend::Auto.resolve(30, 3, Poissonized, spec, no_fault, no_churn, sync),
-                ExecutionBackend::BlockCounting
-            );
-            assert_eq!(
                 ExecutionBackend::Auto.resolve(10_000_000, 3, Poissonized, spec, no_fault, no_churn, sync),
-                ExecutionBackend::BlockCounting
+                ExecutionBackend::Agent
             );
         }
-        // Erdős–Rényi is outside the block-counting backend's certified
-        // capability (degree-inhomogeneous), so Auto falls back to Agent,
-        // and any enabled fault keeps sparse runs agent-level too.
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(
-                10_000,
-                3,
-                Poissonized,
-                TopologySpec::ErdosRenyi { p: 0.1 },
-                no_fault,
-                no_churn,
-                sync
-            ),
-            ExecutionBackend::Agent
-        );
-        let dropper: FaultSpec = "drop(0.1)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, TopologySpec::Ring, dropper, no_churn, sync),
-            ExecutionBackend::Agent
-        );
         // Aggregatable faults keep the counting backend eligible; delayed
         // delivery forces the agent backend, which buffers real messages.
         let aggregatable: FaultSpec = "drop(0.1)+byz(0.05:0)".parse().unwrap();
@@ -1158,10 +1079,6 @@ mod tests {
             ExecutionBackend::Counting.resolve(10, 2, Exact, complete, no_fault, no_churn, sync),
             ExecutionBackend::Counting
         );
-        assert_eq!(
-            ExecutionBackend::BlockCounting.resolve(10, 2, Exact, complete, no_fault, no_churn, sync),
-            ExecutionBackend::BlockCounting
-        );
     }
 
     #[test]
@@ -1200,11 +1117,9 @@ mod tests {
     fn backend_parses_from_str() {
         assert_eq!("agent".parse(), Ok(ExecutionBackend::Agent));
         assert_eq!("Counting".parse(), Ok(ExecutionBackend::Counting));
-        assert_eq!("blockcounting".parse(), Ok(ExecutionBackend::BlockCounting));
-        assert_eq!("Block-Counting".parse(), Ok(ExecutionBackend::BlockCounting));
-        assert_eq!("block".parse(), Ok(ExecutionBackend::BlockCounting));
         assert_eq!("AUTO".parse(), Ok(ExecutionBackend::Auto));
         assert!("gpu".parse::<ExecutionBackend>().is_err());
+        assert!("block".parse::<ExecutionBackend>().is_err());
     }
 
     #[test]
@@ -1251,60 +1166,6 @@ mod tests {
             .run_rumor_spreading_on(ExecutionBackend::Counting, Opinion::new(1))
             .unwrap();
         assert_eq!(auto, counting);
-
-        // Sparse Poissonized run: Auto resolves to BlockCounting.
-        let params = ProtocolParams::builder(2_000, 3)
-            .epsilon(eps)
-            .seed(35)
-            .delivery(pushsim::DeliverySemantics::Poissonized)
-            .topology(TopologySpec::RandomRegular { degree: 8 })
-            .build()
-            .unwrap();
-        let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-        assert_eq!(
-            protocol.resolve(ExecutionBackend::Auto),
-            ExecutionBackend::BlockCounting
-        );
-        let auto = protocol
-            .run_plurality_consensus_on(ExecutionBackend::Auto, &[700, 500, 300])
-            .unwrap();
-        let block = protocol
-            .run_plurality_consensus_on(ExecutionBackend::BlockCounting, &[700, 500, 300])
-            .unwrap();
-        assert_eq!(auto, block);
-    }
-
-    #[test]
-    fn block_counting_backend_solves_sparse_poissonized_instances() {
-        // End-to-end on every certified sparse family: the generic
-        // two-stage protocol stack drives the block-counting backend to
-        // consensus under Poissonized delivery.
-        let eps = 0.35;
-        for topology in [
-            TopologySpec::Ring,
-            TopologySpec::Torus2D, // 1600 = 40²
-            TopologySpec::RandomRegular { degree: 8 },
-        ] {
-            let params = ProtocolParams::builder(1_600, 3)
-                .epsilon(eps)
-                .seed(77)
-                .delivery(pushsim::DeliverySemantics::Poissonized)
-                .topology(topology)
-                .build()
-                .unwrap();
-            let protocol = TwoStageProtocol::new(params, uniform_noise(3, eps)).unwrap();
-            let outcome = protocol
-                .run_plurality_consensus_on(ExecutionBackend::BlockCounting, &[700, 500, 300])
-                .unwrap();
-            assert!(
-                outcome.consensus_reached(),
-                "no consensus on {topology:?}: {}",
-                outcome.final_distribution()
-            );
-            assert_eq!(outcome.final_distribution().num_nodes(), 1_600);
-            assert!(outcome.rounds() > 0);
-            assert!(!outcome.phase_records().is_empty());
-        }
     }
 
     #[test]

@@ -18,17 +18,9 @@
 //! * [`CountingNetwork`] — the count-based backend. Implements process P at
 //!   the population level in O(k²) random draws per phase regardless of
 //!   `n`; justified for O/B configurations by Claim 1 + Lemma 3 (phase
-//!   granularity). Its [`PhaseObservation`] is [`PhaseTally`].
-//! * [`BlockCountingNetwork`] — the degree-class block-counting backend:
-//!   the same count-level process P, aggregated per (degree class,
-//!   opinion) block instead of per opinion, which extends the O(k²·C)
-//!   phase cost to sparse degree-homogeneous topologies (ring, torus,
-//!   `regular(d)`; `C = 1` there). Its [`PhaseObservation`] is
-//!   [`BlockPhaseTally`].
-//!
-//! Which topologies a backend is certified for is a static capability
-//! ([`TopologyCapability`]) that backend-selection policies consult
-//! instead of hard-coding backend names.
+//!   granularity), which needs global agent exchangeability, so it runs
+//!   on the complete graph only. Its [`PhaseObservation`] is
+//!   [`PhaseTally`].
 //!
 //! ## The phase lifecycle
 //!
@@ -63,7 +55,6 @@
 //! protocol can keep its own reproducible decision stream, separate from
 //! the network's delivery RNG.
 
-use crate::blockcounting::{BlockCountingNetwork, BlockPhaseTally};
 use crate::config::SimConfig;
 use crate::counting::{
     median_plan, undecided_state_plan, uniform_adoption_all_plan, CountingNetwork, PhaseTally,
@@ -74,7 +65,6 @@ use crate::inbox::Inboxes;
 use crate::network::{Network, RoundReport};
 use crate::opinion::{NodeState, Opinion};
 use crate::temporal::TemporalCapability;
-use crate::topology::TopologySpec;
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 
@@ -184,74 +174,6 @@ impl PhaseObservation for PhaseTally {
     }
 }
 
-impl PhaseObservation for BlockPhaseTally {
-    fn received_totals(&self) -> Vec<u64> {
-        BlockPhaseTally::received_totals(self)
-    }
-
-    fn total_received(&self) -> u64 {
-        self.total()
-    }
-
-    fn max_inbox(&self) -> u64 {
-        self.typical_max_inbox()
-    }
-
-    fn mean_received(&self) -> f64 {
-        self.mean_inbox()
-    }
-
-    fn received_variance(&self) -> f64 {
-        // A Poisson mixture over the degree classes: law of total variance
-        // (equals the mean when C = 1, where the mixture degenerates).
-        BlockPhaseTally::received_variance(self)
-    }
-
-    fn fraction_with_messages(&self) -> f64 {
-        BlockPhaseTally::fraction_with_messages(self)
-    }
-}
-
-/// The set of topology families a backend is statically certified for.
-///
-/// Ordered by inclusion: `Complete ⊂ VertexTransitive ⊂ Any`. Each backend
-/// declares its capability as
-/// [`PushBackend::TOPOLOGY_CAPABILITY`]; backend-selection policies (the
-/// `Auto` resolver in the core crate) consult [`supports`](Self::supports)
-/// instead of hard-coding backend names, so adding a backend never changes
-/// the policy code.
-///
-/// The capability is the *certified* set — the families on which the
-/// backend's law provably matches the agent-level model, hence the only
-/// families an automatic policy may route to it. A backend may still
-/// *accept* more at construction time as an explicit opt-in (the
-/// block-counting backend accepts `er(p)` by exact-degree bucketing, a
-/// documented mean-field approximation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TopologyCapability {
-    /// Only the complete graph (the paper's model): the backend needs
-    /// global agent exchangeability.
-    Complete,
-    /// Every degree-homogeneous family — complete, ring, torus,
-    /// `regular(d)` (see [`TopologySpec::is_vertex_transitive`]): the
-    /// backend needs exchangeability only within a degree class.
-    VertexTransitive,
-    /// Every family, including `er(p)`: the backend tracks individual
-    /// agents and neighbor lists.
-    Any,
-}
-
-impl TopologyCapability {
-    /// `true` if `topology` belongs to this certified set.
-    pub fn supports(self, topology: TopologySpec) -> bool {
-        match self {
-            TopologyCapability::Complete => topology.is_complete(),
-            TopologyCapability::VertexTransitive => topology.is_vertex_transitive(),
-            TopologyCapability::Any => true,
-        }
-    }
-}
-
 /// Which agents the uniform-adoption decision operator applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AdoptionScope {
@@ -273,18 +195,6 @@ pub trait PushBackend {
     /// The phase result type ([`Inboxes`] or [`PhaseTally`]).
     type Observation: PhaseObservation;
 
-    /// Static capability: the set of topology families this backend is
-    /// certified for. The agent backend handles [`TopologyCapability::Any`]
-    /// (it pushes along explicit neighbor lists); the counting backend only
-    /// [`TopologyCapability::Complete`] — its whole O(k²)-per-phase
-    /// reformulation rests on global agent exchangeability; the
-    /// block-counting backend [`TopologyCapability::VertexTransitive`] —
-    /// within-class exchangeability on degree-homogeneous families.
-    /// Constructors reject configurations outside their certified set
-    /// (modulo documented opt-ins) and backend-selection policies consult
-    /// this constant instead of hard-coding backend names.
-    const TOPOLOGY_CAPABILITY: TopologyCapability;
-
     /// Static capability: `true` if the backend can simulate the `delay`
     /// family of [`FaultSpec`](crate::FaultSpec) (messages deferred to the
     /// next phase). The agent backend can (it buffers the delayed
@@ -303,7 +213,7 @@ pub trait PushBackend {
     /// [`NoiseSchedule`](crate::NoiseSchedule),
     /// [`ClockSpec`](crate::ClockSpec)) the backend can simulate. The agent
     /// backend supports everything
-    /// ([`TemporalCapability::FULL`]); the counting backends support the
+    /// ([`TemporalCapability::FULL`]); the counting backend supports the
     /// aggregate subset ([`TemporalCapability::AGGREGATE`]): population
     /// churn and noise schedules are O(k) bulk operations on the count
     /// vectors, but edge churn and clock skew need per-agent identity
@@ -423,8 +333,6 @@ pub trait PushBackend {
 
 impl PushBackend for Network {
     type Observation = Inboxes;
-
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::Any;
 
     const SUPPORTS_DELAY_FAULTS: bool = true;
 
@@ -579,8 +487,6 @@ impl PushBackend for Network {
 impl PushBackend for CountingNetwork {
     type Observation = PhaseTally;
 
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::Complete;
-
     const SUPPORTS_DELAY_FAULTS: bool = false;
 
     const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::AGGREGATE;
@@ -682,90 +588,6 @@ impl PushBackend for CountingNetwork {
         let (leavers, joiners, undecided_delta) =
             median_plan(self.counts(), self.undecided(), self.tally(), rng);
         self.apply_deltas(&leavers, &joiners, undecided_delta);
-    }
-}
-
-impl PushBackend for BlockCountingNetwork {
-    type Observation = BlockPhaseTally;
-
-    const TOPOLOGY_CAPABILITY: TopologyCapability = TopologyCapability::VertexTransitive;
-
-    const SUPPORTS_DELAY_FAULTS: bool = false;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::AGGREGATE;
-
-    fn num_nodes(&self) -> usize {
-        // The live population (population churn moves it away from the
-        // configured initial size).
-        BlockCountingNetwork::num_nodes(self)
-    }
-
-    fn config(&self) -> &SimConfig {
-        BlockCountingNetwork::config(self)
-    }
-
-    fn noise(&self) -> &NoiseMatrix {
-        BlockCountingNetwork::noise(self)
-    }
-
-    fn distribution(&self) -> OpinionDistribution {
-        BlockCountingNetwork::distribution(self)
-    }
-
-    fn clear_opinions(&mut self) {
-        BlockCountingNetwork::clear_opinions(self);
-    }
-
-    fn seed_counts(&mut self, counts: &[usize]) -> Result<(), SimError> {
-        BlockCountingNetwork::seed_counts(self, counts)
-    }
-
-    fn seed_rumor_at(&mut self, source: usize, opinion: Opinion) -> Result<(), SimError> {
-        BlockCountingNetwork::seed_rumor_at(self, source, opinion)
-    }
-
-    fn begin_phase(&mut self) {
-        BlockCountingNetwork::begin_phase(self);
-    }
-
-    fn push_opinionated_round(&mut self) -> RoundReport {
-        self.push_round_all_opinionated()
-    }
-
-    fn end_phase(&mut self) -> &BlockPhaseTally {
-        BlockCountingNetwork::end_phase(self)
-    }
-
-    fn observation(&self) -> &BlockPhaseTally {
-        self.tally()
-    }
-
-    fn rounds_executed(&self) -> u64 {
-        BlockCountingNetwork::rounds_executed(self)
-    }
-
-    fn messages_sent(&self) -> u64 {
-        BlockCountingNetwork::messages_sent(self)
-    }
-
-    fn rng_mut(&mut self) -> &mut StdRng {
-        BlockCountingNetwork::rng_mut(self)
-    }
-
-    fn resolve_uniform_adoption(&mut self, scope: AdoptionScope, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_uniform_adoption_per_class(self, scope, rng);
-    }
-
-    fn resolve_sample_majority(&mut self, sample_size: u64, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_sample_majority_per_class(self, sample_size, rng);
-    }
-
-    fn resolve_undecided_state(&mut self, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_undecided_state_per_class(self, rng);
-    }
-
-    fn resolve_median(&mut self, rng: &mut StdRng) {
-        BlockCountingNetwork::resolve_median_per_class(self, rng);
     }
 }
 

@@ -184,13 +184,9 @@ impl SimConfigBuilder {
 
     /// Sets the communication topology (default
     /// [`TopologySpec::Complete`], the paper's model). Non-complete
-    /// topologies allow [`DeliverySemantics::Exact`] (agent-level push
-    /// along neighbor lists) and — on degree-homogeneous families
-    /// ([`TopologySpec::is_vertex_transitive`]) —
-    /// [`DeliverySemantics::Poissonized`], realized per degree class by
-    /// the block-counting backend. Process B stays complete-graph-only:
-    /// its balls-into-bins scatter is a *uniform*-bin notion no backend
-    /// localizes to a sparse graph.
+    /// topologies allow only [`DeliverySemantics::Exact`] (agent-level
+    /// push along neighbor lists): processes B and P scatter a phase's
+    /// messages into *uniform* bins, a complete-graph notion.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.topology = topology;
         self
@@ -243,8 +239,7 @@ impl SimConfigBuilder {
     /// * [`SimError::InvalidTopology`] if the topology parameters are
     ///   infeasible for the node count ([`TopologySpec::check`]).
     /// * [`SimError::UnsupportedTopology`] if a non-complete topology is
-    ///   combined with process B, or a non-vertex-transitive one (`er(p)`)
-    ///   with process P.
+    ///   combined with deferred delivery (process B or P).
     /// * [`SimError::InvalidFault`] if the fault parameters are infeasible
     ///   ([`FaultSpec::check`]).
     /// * [`SimError::UnsupportedFault`] if enabled faults are combined
@@ -255,7 +250,7 @@ impl SimConfigBuilder {
     /// * [`SimError::UnsupportedTemporal`] if population churn is
     ///   combined with a non-complete topology or with
     ///   crash/Byzantine/delay faults, or edge churn (`rewire`) with a
-    ///   non-resampleable topology or deferred delivery.
+    ///   non-resampleable topology.
     pub fn build(self) -> Result<SimConfig, SimError> {
         if self.num_nodes < 2 {
             return Err(SimError::TooFewNodes {
@@ -268,24 +263,15 @@ impl SimConfigBuilder {
             });
         }
         self.topology.check(self.num_nodes)?;
-        // Process B is a uniform-bins notion no backend localizes to a
-        // sparse graph; process P localizes per degree class, so it is
-        // admitted exactly on the degree-homogeneous families the
-        // block-counting backend is certified for. Keeping `er(p) + P`
-        // out here guarantees automatic backend selection never faces a
-        // Poissonized configuration it cannot route faithfully.
-        if !self.topology.is_complete() {
-            let admitted = match self.delivery {
-                DeliverySemantics::Exact => true,
-                DeliverySemantics::Poissonized => self.topology.is_vertex_transitive(),
-                DeliverySemantics::BallsIntoBins => false,
-            };
-            if !admitted {
-                return Err(SimError::UnsupportedTopology {
-                    topology: self.topology.label(),
-                    context: format!("deferred delivery (process {})", self.delivery.label()),
-                });
-            }
+        // Processes B and P scatter a phase's messages into uniform bins:
+        // a pending count has no sender, hence no neighborhood. Every
+        // backend is built from a `SimConfig`, so this is the one place
+        // the simulator enforces the sparse-topology rule.
+        if !self.topology.is_complete() && self.delivery != DeliverySemantics::Exact {
+            return Err(SimError::UnsupportedTopology {
+                topology: self.topology.label(),
+                context: format!("deferred delivery (process {})", self.delivery.label()),
+            });
         }
         self.fault.check(self.num_opinions)?;
         if !self.fault.is_none() && !self.topology.is_complete() {
@@ -321,25 +307,13 @@ impl SimConfigBuilder {
                 });
             }
         }
-        if self.churn.has_edge_churn() {
-            if !self.topology.is_resampleable() {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "edge churn (rewire)".to_string(),
-                    context: format!(
-                        "the non-resampleable topology {}",
-                        self.topology.label()
-                    ),
-                });
-            }
-            if self.delivery != DeliverySemantics::Exact {
-                return Err(SimError::UnsupportedTemporal {
-                    feature: "edge churn (rewire)".to_string(),
-                    context: format!(
-                        "deferred delivery (process {})",
-                        self.delivery.label()
-                    ),
-                });
-            }
+        // Resampleable topologies are sparse, so the topology rule above
+        // already pins edge churn to exact delivery.
+        if self.churn.has_edge_churn() && !self.topology.is_resampleable() {
+            return Err(SimError::UnsupportedTemporal {
+                feature: "edge churn (rewire)".to_string(),
+                context: format!("the non-resampleable topology {}", self.topology.label()),
+            });
         }
         Ok(SimConfig {
             num_nodes: self.num_nodes,
@@ -413,34 +387,23 @@ mod tests {
             SimConfig::builder(10, 3).topology(TopologySpec::Torus2D).build(),
             Err(SimError::InvalidTopology { .. })
         ));
-        // Process B is complete-graph-only.
-        assert!(matches!(
-            SimConfig::builder(10, 3)
-                .topology(TopologySpec::Ring)
-                .delivery(DeliverySemantics::BallsIntoBins)
-                .build(),
-            Err(SimError::UnsupportedTopology { .. })
-        ));
-        // Process P is admitted on vertex-transitive sparse families (the
-        // block-counting backend realizes it per degree class) …
+        // Processes B and P are complete-graph-only, on every sparse
+        // family.
         for topology in [
             TopologySpec::Ring,
             TopologySpec::RandomRegular { degree: 4 },
+            TopologySpec::ErdosRenyi { p: 0.5 },
         ] {
-            assert!(SimConfig::builder(10, 3)
-                .topology(topology)
-                .delivery(DeliverySemantics::Poissonized)
-                .build()
-                .is_ok());
+            for delivery in [DeliverySemantics::BallsIntoBins, DeliverySemantics::Poissonized] {
+                assert!(matches!(
+                    SimConfig::builder(10, 3)
+                        .topology(topology)
+                        .delivery(delivery)
+                        .build(),
+                    Err(SimError::UnsupportedTopology { .. })
+                ));
+            }
         }
-        // … but not on er(p), whose realizations are degree-heterogeneous.
-        assert!(matches!(
-            SimConfig::builder(10, 3)
-                .topology(TopologySpec::ErdosRenyi { p: 0.5 })
-                .delivery(DeliverySemantics::Poissonized)
-                .build(),
-            Err(SimError::UnsupportedTopology { .. })
-        ));
         // The complete graph keeps all three processes.
         for delivery in DeliverySemantics::ALL {
             assert!(SimConfig::builder(10, 3).delivery(delivery).build().is_ok());
@@ -553,7 +516,8 @@ mod tests {
             .build()
             .is_ok());
 
-        // Edge churn needs a resampleable topology under exact delivery.
+        // Edge churn needs a resampleable topology, which (being sparse)
+        // admits exact delivery only.
         let rewire = ChurnSpec {
             rewire: 0.5,
             ..ChurnSpec::default()
@@ -575,7 +539,7 @@ mod tests {
                 .delivery(DeliverySemantics::Poissonized)
                 .churn(rewire)
                 .build(),
-            Err(SimError::UnsupportedTemporal { .. })
+            Err(SimError::UnsupportedTopology { .. })
         ));
 
         // Schedules and clocks validate their own parameters.

@@ -59,20 +59,7 @@ pub struct PhaseTally {
 }
 
 impl PhaseTally {
-    /// Builds a tally over a population of `num_nodes` agents. Crate-only:
-    /// the block-counting backend assembles one tally per degree class
-    /// (with `num_nodes` the class population `n_c`), reusing every
-    /// closed-form query and count-level decision rule below per class.
-    pub(crate) fn new(post_noise: Vec<u64>, num_nodes: usize) -> Self {
-        Self {
-            post_noise,
-            num_nodes,
-        }
-    }
-
-    /// The population the tally is over: `n` for a whole-network phase, a
-    /// class population `n_c` for the block-counting backend's per-class
-    /// tallies.
+    /// The population the tally is over.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes
     }
@@ -270,10 +257,8 @@ struct CountingTemporal {
 /// shares sum to `draw`). The count-level stand-in for drawing the faulty
 /// agents uniformly without replacement — the composition of the faulty
 /// pool is pinned to its expectation, one more of the bounded
-/// approximations the backend documents. Also reused by the
-/// block-counting backend to spread seeded opinion counts over degree
-/// classes deterministically.
-pub(crate) fn proportional_split(groups: &[u64], draw: u64) -> Vec<u64> {
+/// approximations the backend documents.
+fn proportional_split(groups: &[u64], draw: u64) -> Vec<u64> {
     let population: u64 = groups.iter().sum();
     debug_assert!(draw <= population);
     if population == 0 {
@@ -344,12 +329,9 @@ impl CountingNetwork {
     /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
     ///   defined over exactly `config.num_opinions()` opinions.
     /// * [`SimError::UnsupportedTopology`] if the configuration requests a
-    ///   non-complete topology: the count-based backend is statically
-    ///   complete-graph-only (its
-    ///   [`PushBackend::TOPOLOGY_CAPABILITY`](crate::PushBackend::TOPOLOGY_CAPABILITY)
-    ///   is [`TopologyCapability::Complete`](crate::TopologyCapability);
-    ///   sparse degree-homogeneous families go through
-    ///   [`BlockCountingNetwork`](crate::BlockCountingNetwork)).
+    ///   non-complete topology: the count-based backend is
+    ///   complete-graph-only; sparse topologies run on the agent-level
+    ///   [`Network`](crate::Network).
     /// * [`SimError::UnsupportedFault`] if the configuration enables the
     ///   `delay` fault: deferring individual messages across the phase
     ///   boundary needs per-message identity, which the count-based
@@ -373,10 +355,8 @@ impl CountingNetwork {
         // The whole-population reformulation is built on global agent
         // exchangeability, which only the complete graph provides: on a
         // sparse topology the paper's `h_j` totals do not determine any
-        // agent's inbox law. (The same fact is declared statically as
-        // `PushBackend::TOPOLOGY_CAPABILITY`, which backend-selection
-        // policies consult.)
-        if !<Self as crate::PushBackend>::TOPOLOGY_CAPABILITY.supports(config.topology()) {
+        // agent's inbox law.
+        if !config.topology().is_complete() {
             return Err(SimError::UnsupportedTopology {
                 topology: config.topology().label(),
                 context: "the count-based backend".to_string(),
@@ -875,12 +855,7 @@ impl CountingNetwork {
 /// Computes the sample-majority population update against a finished phase:
 /// `(leavers, joiners, undecided_delta)` for
 /// [`CountingNetwork::apply_deltas`].
-///
-/// The plan functions below are crate-visible so the block-counting
-/// backend can apply the identical count-level decision rules once per
-/// degree class (each class's tally plays the role of the whole-network
-/// tally here).
-pub(crate) fn sample_majority_plan<R: Rng + ?Sized>(
+fn sample_majority_plan<R: Rng + ?Sized>(
     counts: &[u64],
     undecided: u64,
     tally: &PhaseTally,
@@ -902,7 +877,7 @@ pub(crate) fn sample_majority_plan<R: Rng + ?Sized>(
 
 /// Computes the "adopt one uniformly received opinion" split for a group of
 /// agents against a finished phase.
-pub(crate) fn sample_one_plan<R: Rng + ?Sized>(
+fn sample_one_plan<R: Rng + ?Sized>(
     tally: &PhaseTally,
     num_opinions: usize,
     group: u64,

@@ -52,10 +52,8 @@ pub enum SimError {
         reason: String,
     },
     /// The requested topology is not supported in this configuration:
-    /// process B and the count-based backend are complete-graph-only, the
-    /// agent backend's deferred delivery and the block-counting backend's
-    /// process P have their own boundaries (see
-    /// [`TopologyCapability`](crate::TopologyCapability)).
+    /// deferred delivery (processes B and P) and the count-based backend
+    /// are complete-graph-only.
     UnsupportedTopology {
         /// The offending topology's label.
         topology: String,
@@ -70,9 +68,8 @@ pub enum SimError {
         reason: String,
     },
     /// The requested fault spec is not supported in this configuration:
-    /// fault injection is complete-graph-only, delayed delivery is
-    /// agent-backend-only, and the block-counting backend rejects all
-    /// faults.
+    /// fault injection is complete-graph-only and delayed delivery is
+    /// agent-backend-only.
     UnsupportedFault {
         /// The offending fault spec's label.
         fault: String,
@@ -136,8 +133,7 @@ impl fmt::Display for SimError {
             SimError::UnsupportedTopology { topology, context } => write!(
                 f,
                 "topology {topology} is not supported by {context} \
-                 (non-complete topologies run on the agent backend with exact delivery, \
-                 or — if vertex-transitive — on the block-counting backend with process P)"
+                 (non-complete topologies run on the agent backend with exact delivery)"
             ),
             SimError::InvalidFault { reason } => {
                 write!(f, "invalid fault spec: {reason}")
@@ -145,8 +141,7 @@ impl fmt::Display for SimError {
             SimError::UnsupportedFault { fault, context } => write!(
                 f,
                 "fault spec {fault} is not supported by {context} \
-                 (faults are complete-graph-only; delayed delivery needs the agent backend; \
-                 the block-counting backend rejects all faults)"
+                 (faults are complete-graph-only; delayed delivery needs the agent backend)"
             ),
             SimError::InvalidTemporal { reason } => {
                 write!(f, "invalid temporal spec: {reason}")

@@ -43,9 +43,9 @@
 //!   in the phase (Definition 4; Lemma 3 transfers w.h.p. events back to
 //!   process O).
 //!
-//! ## The three backends, one trait
+//! ## The two backends, one trait
 //!
-//! The simulator ships **three backends** over the same model, all
+//! The simulator ships **two backends** over the same model, both
 //! implementing the [`PushBackend`] trait (the shared phase lifecycle plus
 //! the paper's decision operators — see the [`backend`] module docs for the
 //! contract and the lemmas behind it):
@@ -60,39 +60,28 @@
 //!   (one multinomial per noise-matrix row) *independent of `n`* — the
 //!   same reformulation the paper's own analysis uses (it reasons about
 //!   the counts `h_i` of Definition 4, never about individuals).
-//!   Complete-graph-only.
-//! * [`BlockCountingNetwork`] — the **degree-class block-counting**
-//!   backend: the count-based reformulation localized per degree class
-//!   ([`DegreeClasses`](topology::DegreeClasses)), extending the O(k²·C)
-//!   phase cost to sparse degree-homogeneous topologies (ring, torus,
-//!   `regular(d)` — where `C = 1`); `er(p)` is accepted as an explicit,
-//!   documented mean-field opt-in. See the [`blockcounting`] module.
-//!
-//! Which topology families each backend is *certified* for is a static
-//! capability ([`TopologyCapability`]: `Complete ⊂ VertexTransitive ⊂
-//! Any`) that automatic backend selection consults.
+//!   Complete-graph-only: that exchangeability is exactly what a sparse
+//!   topology breaks.
 //!
 //! Code written against `PushBackend` (the `plurality-core` protocol
 //! stages, every `opinion-dynamics` rule, the experiment harness) runs
-//! unchanged on any backend; each backend's phase result is exposed
-//! through the [`PhaseObservation`] trait ([`Inboxes`] vs [`PhaseTally`]
-//! vs [`BlockPhaseTally`]).
+//! unchanged on either backend; each backend's phase result is exposed
+//! through the [`PhaseObservation`] trait ([`Inboxes`] vs [`PhaseTally`]).
 //!
 //! ### Backend × delivery semantics support matrix
 //!
-//! | delivery semantics | `Network` (agent-level) | `CountingNetwork` (count-based) | `BlockCountingNetwork` (block-counting) |
-//! |---|---|---|---|
-//! | **O** `Exact` | exact, per-message delivery in [`push_round`](Network::push_round) | runs as process P (equivalent at phase granularity: Claim 1 + Lemma 3) | runs as per-class process P (same equivalence, per class) |
-//! | **B** `BallsIntoBins` | exact; noise applied in O(k²) multinomial draws at [`end_phase`](Network::end_phase), then a uniform scatter; complete graph only | runs as process P (equivalent at phase granularity: Lemma 3) | runs as per-class process P |
-//! | **P** `Poissonized` | exact; k aggregate `Poisson(h_i)` draws + uniform scatter (Poisson superposition); complete graph only | **exact** — the native semantics of the backend | **exact** per degree class — the native semantics |
+//! | delivery semantics | `Network` (agent-level) | `CountingNetwork` (count-based) |
+//! |---|---|---|
+//! | **O** `Exact` | exact, per-message delivery in [`push_round`](Network::push_round) | runs as process P (equivalent at phase granularity: Claim 1 + Lemma 3) |
+//! | **B** `BallsIntoBins` | exact; noise applied in O(k²) multinomial draws at [`end_phase`](Network::end_phase), then a uniform scatter; complete graph only | runs as process P (equivalent at phase granularity: Lemma 3) |
+//! | **P** `Poissonized` | exact; k aggregate `Poisson(h_i)` draws + uniform scatter (Poisson superposition); complete graph only | **exact** — the native semantics of the backend |
 //!
 //! ### Backend × topology support matrix
 //!
-//! | topology | `Network` | `CountingNetwork` | `BlockCountingNetwork` |
-//! |---|---|---|---|
-//! | `complete` | ✓ (any delivery) | ✓ certified | ✓ certified (`C = 1`) |
-//! | `ring`, `torus`, `regular(d)` | ✓ (process O only) | ✗ rejected | ✓ certified (`C = 1`) |
-//! | `er(p)` | ✓ (process O only) | ✗ rejected | accepted opt-in (degree-bucketed, mean-field; never auto-selected) |
+//! | topology | `Network` | `CountingNetwork` |
+//! |---|---|---|
+//! | `complete` | ✓ (any delivery) | ✓ |
+//! | `ring`, `torus`, `regular(d)`, `er(p)` | ✓ (process O only) | ✗ rejected |
 //!
 //! "Exact" means the backend samples the process's distribution exactly
 //! (the batched paths are distribution-preserving reformulations, checked
@@ -129,11 +118,11 @@
 //! `skew(p)` per-agent participation). What each backend supports is a
 //! static [`TemporalCapability`] — the agent backend everything, the
 //! counting backend the aggregate subset (population churn and schedules;
-//! its rounds are synchronous by construction), the block-counting
-//! backend nothing — and automatic backend selection consults it. Like
-//! faults, all temporal randomness comes from dedicated seed-salted RNGs,
-//! so `ChurnSpec::none()` + `NoiseSchedule::Const` + `ClockSpec::Sync`
-//! (the defaults) are **bit-for-bit** the static simulator (pinned by
+//! its rounds are synchronous by construction) — and automatic backend
+//! selection consults it. Like faults, all temporal randomness comes from
+//! dedicated seed-salted RNGs, so `ChurnSpec::none()` +
+//! `NoiseSchedule::Const` + `ClockSpec::Sync` (the defaults) are
+//! **bit-for-bit** the static simulator (pinned by
 //! `tests/temporal_network.rs`).
 //!
 //! Protocols built on top of this crate (see the `plurality-core` crate)
@@ -173,7 +162,6 @@
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod blockcounting;
 mod config;
 pub mod counting;
 mod distribution;
@@ -186,8 +174,7 @@ pub mod poisson;
 pub mod temporal;
 pub mod topology;
 
-pub use backend::{AdoptionScope, PhaseObservation, PushBackend, TopologyCapability};
-pub use blockcounting::{BlockCountingNetwork, BlockPhaseTally};
+pub use backend::{AdoptionScope, PhaseObservation, PushBackend};
 pub use config::{DeliverySemantics, SimConfig, SimConfigBuilder};
 pub use counting::{CountingNetwork, PhaseTally};
 pub use distribution::OpinionDistribution;

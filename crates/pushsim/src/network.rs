@@ -19,9 +19,7 @@ use rand::{Rng, SeedableRng};
 /// delivery RNG stream — complete-graph runs stay bit-for-bit identical to
 /// the pre-topology simulator, and the graph is a deterministic function
 /// of the seed.
-/// Crate-visible so the block-counting backend derives its `er(p)` degree
-/// classes from the *same* realization the agent backend would build.
-pub(crate) const TOPOLOGY_SEED_SALT: u64 = 0x7090_1091_C5F0_12AD;
+const TOPOLOGY_SEED_SALT: u64 = 0x7090_1091_C5F0_12AD;
 
 /// Salt mixed into the simulation seed for the fault-injection RNG (both
 /// backends), so every drop/dup/delay coin and every crash/Byzantine
@@ -119,7 +117,7 @@ impl AgentFaults {
 
 /// Materialized churn state: the spec and its dedicated RNG. Built only
 /// when the config's [`ChurnSpec`] enables at least one churn family.
-/// Shared across backends — the count-based backends apply the same spec
+/// Shared across backends — the count-based backend applies the same spec
 /// as aggregate count transfers.
 #[derive(Debug, Clone)]
 pub(crate) struct ChurnState {
@@ -336,26 +334,11 @@ impl Network {
     ///   defined over exactly `config.num_opinions()` opinions.
     /// * [`SimError::InvalidTopology`] if the configured topology cannot
     ///   be realized (see [`Topology::build`]).
-    /// * [`SimError::UnsupportedTopology`] if a non-complete topology is
-    ///   combined with deferred delivery (process B or P): the agent
-    ///   backend's deferred path scatters phase messages into *uniform*
-    ///   bins, which would silently ignore the graph. Sparse Poissonized
-    ///   runs belong to
-    ///   [`BlockCountingNetwork`](crate::BlockCountingNetwork).
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
         if noise.num_opinions() != config.num_opinions() {
             return Err(SimError::NoiseDimensionMismatch {
                 expected: config.num_opinions(),
                 found: noise.num_opinions(),
-            });
-        }
-        if !config.topology().is_complete() && config.delivery() != DeliverySemantics::Exact {
-            return Err(SimError::UnsupportedTopology {
-                topology: config.topology().label(),
-                context: format!(
-                    "the agent backend with deferred delivery (process {})",
-                    config.delivery().label()
-                ),
             });
         }
         let n = config.num_nodes();

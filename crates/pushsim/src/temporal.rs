@@ -48,17 +48,16 @@
 //! Which temporal features a backend admits is a static capability
 //! ([`TemporalCapability`] on
 //! [`PushBackend`](crate::PushBackend::TEMPORAL_CAPABILITY)): the
-//! agent-level backend supports everything; the count-based and
-//! block-counting backends support population churn and noise schedules
-//! as O(k)/O(k²·C) aggregate operations and reject edge churn and clock
-//! skew (there are no per-agent clocks or materialized edges to skew or
-//! rewire). Cross-feature boundaries are enforced when the
-//! configuration is built ([`SimConfig::builder`](crate::SimConfig)):
-//! population churn is complete-graph-only and does not compose with
-//! crash/Byzantine/delay faults (identity bookkeeping across arrivals
-//! and departures would be ambiguous), edge churn requires a
-//! re-sampleable randomized topology (`regular(d)` or `er(p)`) under
-//! exact delivery.
+//! agent-level backend supports everything; the count-based backend
+//! supports population churn and noise schedules as O(k) aggregate
+//! operations and rejects edge churn and clock skew (there are no
+//! per-agent clocks or materialized edges to skew or rewire).
+//! Cross-feature boundaries are enforced when the configuration is
+//! built ([`SimConfig::builder`](crate::SimConfig)): population churn is
+//! complete-graph-only and does not compose with crash/Byzantine/delay
+//! faults (identity bookkeeping across arrivals and departures would be
+//! ambiguous), edge churn requires a re-sampleable randomized topology
+//! (`regular(d)` or `er(p)`) under exact delivery.
 
 use crate::error::SimError;
 use std::fmt;
@@ -196,7 +195,7 @@ impl ChurnSpec {
 
     /// `true` when agents join or leave (`join`, `leave` or `burst` is
     /// enabled). Population churn is complete-graph-only and supported
-    /// by all three backends.
+    /// by both backends.
     pub fn has_population_churn(&self) -> bool {
         self.join != 0.0 || self.leave != 0.0 || self.burst.is_some()
     }
@@ -209,7 +208,7 @@ impl ChurnSpec {
     }
 
     /// `true` when the spec only uses the aggregatable subset the
-    /// count-based backends support (everything except edge churn).
+    /// count-based backend supports (everything except edge churn).
     pub fn aggregatable(&self) -> bool {
         self.rewire == 0.0
     }
@@ -937,13 +936,13 @@ impl FromStr for ClockSpec {
 }
 
 /// Which temporal features a backend supports, as a static capability
-/// (like [`TopologyCapability`](crate::TopologyCapability)): automatic
-/// backend selection consults it, and each backend's constructor
+/// ([`PushBackend::TEMPORAL_CAPABILITY`](crate::PushBackend::TEMPORAL_CAPABILITY)):
+/// automatic backend selection consults it, and each backend's constructor
 /// enforces it ([`SimError::UnsupportedTemporal`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TemporalCapability {
     /// Agents may join and leave at phase boundaries (`join`, `leave`,
-    /// `burst`). The count-based backends realize this as O(k) count
+    /// `burst`). The count-based backend realizes this as O(k) count
     /// transfers.
     pub population_churn: bool,
     /// The sparse topology may be resampled at phase boundaries
@@ -965,7 +964,7 @@ impl TemporalCapability {
         clock: true,
     };
 
-    /// The aggregatable subset (the count-based backends): population
+    /// The aggregatable subset (the count-based backend): population
     /// churn and noise schedules, no edge churn, no clock skew.
     pub const AGGREGATE: TemporalCapability = TemporalCapability {
         population_churn: true,

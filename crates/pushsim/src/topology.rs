@@ -33,15 +33,10 @@
 //! sparse topologies: the deferred processes B and P shuffle phase
 //! messages into *uniform* bins, which is a complete-graph notion (a
 //! pending count has no sender, hence no neighborhood). The count-based
-//! backends recover the deferred process P off the complete graph by
-//! aggregating over exchangeable blocks: per opinion on the complete graph
-//! ([`CountingNetwork`](crate::CountingNetwork)), per (degree class,
-//! opinion) on degree-homogeneous families
-//! ([`BlockCountingNetwork`](crate::BlockCountingNetwork), via
-//! [`DegreeClasses`]). Which backend is certified for which family is
-//! expressed by [`TopologyCapability`](crate::TopologyCapability); the
-//! boundaries are enforced at construction time
-//! ([`SimError::UnsupportedTopology`]).
+//! [`CountingNetwork`](crate::CountingNetwork) aggregates over
+//! exchangeable agents, which only the complete graph has, so it runs
+//! there alone. [`SimConfig`](crate::SimConfig) admits a sparse topology
+//! only with exact delivery ([`SimError::UnsupportedTopology`]).
 
 use crate::error::SimError;
 use rand::rngs::StdRng;
@@ -113,20 +108,6 @@ impl TopologySpec {
     /// `true` for the complete graph (the paper's model).
     pub fn is_complete(&self) -> bool {
         matches!(self, TopologySpec::Complete)
-    }
-
-    /// `true` for families whose every realization is degree-homogeneous
-    /// by construction — the complete graph, the ring, the torus and
-    /// `regular(d)` — i.e. families with a single degree class, where all
-    /// agents are exchangeable at the population level. (Strictly, a
-    /// random `regular(d)` realization need not admit a vertex-transitive
-    /// automorphism group; degree homogeneity is the property the
-    /// block-counting aggregation actually needs, and the conventional
-    /// name sticks.) `er(p)` is not: its realizations carry a nontrivial
-    /// degree distribution, so the block-counting backend buckets them by
-    /// exact degree only when explicitly requested.
-    pub fn is_vertex_transitive(&self) -> bool {
-        !matches!(self, TopologySpec::ErdosRenyi { .. })
     }
 
     /// `true` for the randomized families (`regular(d)`, `er(p)`) whose
@@ -423,189 +404,6 @@ impl Topology {
             }
         }
         visited == n
-    }
-
-    /// The degree-class decomposition of this graph, derived from the CSR
-    /// adjacency in `O(n + |E|)`. This is the general (materialized) path;
-    /// [`DegreeClasses::build`] derives the same decomposition
-    /// analytically for the deterministic families without ever building
-    /// the graph.
-    pub fn degree_classes(&self) -> DegreeClasses {
-        DegreeClasses::from_topology(self)
-    }
-}
-
-/// The degree-class decomposition of a topology: nodes bucketed by exact
-/// degree, plus the class-to-class directed edge counts.
-///
-/// This is the state space of the
-/// [`BlockCountingNetwork`](crate::BlockCountingNetwork): within a degree
-/// class all agents are exchangeable under uniform-neighbor push, so
-/// delivery only needs to know *how many* messages flow from class `c` to
-/// class `c'`, never which node sent them. A uniform push from a node of
-/// class `c` lands in class `c'` with probability
-/// `E[c][c'] / (n_c · d_c)`, where `E[c][c']` counts ordered adjacent
-/// pairs — the per-class analogue of the complete graph's uniform
-/// destination.
-///
-/// Degree-homogeneous families (ring, torus, `regular(d)`, complete) have
-/// a single class (`C = 1`); `er(p)` realizations are bucketed by exact
-/// degree. Classes are sorted by increasing degree and every class is
-/// non-empty. Isolated nodes (degree 0, possible under `er(p)`) form a
-/// silent class: they never push and never receive.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DegreeClasses {
-    /// Per-class population `n_c` (every class non-empty).
-    sizes: Vec<u64>,
-    /// Per-class degree `d_c`, strictly increasing across classes. The
-    /// complete graph reports degree `n` (a push may land on the sender,
-    /// exactly like the paper's uniform push).
-    degrees: Vec<u64>,
-    /// Row-major `C×C` matrix of directed edge counts `E[c][c']`: ordered
-    /// pairs `(u, v)` with `u` in class `c`, `v` in class `c'` and `v`
-    /// reachable from `u` in one push. Row sums satisfy
-    /// `Σ_c' E[c][c'] = n_c · d_c`.
-    edges: Vec<u64>,
-    /// `node → class` map; `None` when `C = 1` (every node is class 0).
-    class_of: Option<Vec<u32>>,
-    num_nodes: usize,
-}
-
-impl DegreeClasses {
-    /// A single-class decomposition: all `num_nodes` nodes share `degree`.
-    fn single(num_nodes: usize, degree: u64) -> Self {
-        Self {
-            sizes: vec![num_nodes as u64],
-            degrees: vec![degree],
-            edges: vec![num_nodes as u64 * degree],
-            class_of: None,
-            num_nodes,
-        }
-    }
-
-    /// Derives the decomposition for `spec` over `num_nodes` agents.
-    ///
-    /// Deterministic and degree-homogeneous families (`complete`, `ring`,
-    /// `torus`, `regular(d)`) are resolved **analytically** — no graph is
-    /// ever materialized, so construction is `O(1)` even at `n = 10⁷`.
-    /// `regular(d)` is exact for *any* realization (every node has degree
-    /// `d` by construction, and `E = n·d` directed pairs regardless of
-    /// which matching was drawn). Only `er(p)` builds the graph: `rng`
-    /// must then be the same dedicated topology RNG the agent backend
-    /// uses, so both backends bucket the *same* realization.
-    ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidTopology`] under the same conditions as
-    /// [`TopologySpec::check`].
-    pub fn build(
-        spec: TopologySpec,
-        num_nodes: usize,
-        rng: &mut StdRng,
-    ) -> Result<Self, SimError> {
-        spec.check(num_nodes)?;
-        Ok(match spec {
-            TopologySpec::Complete => Self::single(num_nodes, num_nodes as u64),
-            // n = 2 degenerates to a single edge (degree 1, not 2).
-            TopologySpec::Ring => Self::single(num_nodes, if num_nodes == 2 { 1 } else { 2 }),
-            TopologySpec::Torus2D => {
-                // Wraparound parallels are deduplicated by the builder:
-                // side = 1 is a single isolated node, side = 2 a 4-cycle.
-                let side = (num_nodes as f64).sqrt().round() as usize;
-                let degree = match side {
-                    1 => 0,
-                    2 => 2,
-                    _ => 4,
-                };
-                Self::single(num_nodes, degree)
-            }
-            TopologySpec::RandomRegular { degree } => Self::single(num_nodes, degree as u64),
-            TopologySpec::ErdosRenyi { .. } => {
-                Topology::build(spec, num_nodes, rng)?.degree_classes()
-            }
-        })
-    }
-
-    /// Buckets a materialized graph by exact degree.
-    fn from_topology(topo: &Topology) -> Self {
-        let n = topo.num_nodes();
-        if topo.is_complete() {
-            return Self::single(n, n as u64);
-        }
-        let mut distinct: Vec<usize> = (0..n).map(|v| topo.degree(v)).collect();
-        distinct.sort_unstable();
-        distinct.dedup();
-        let class_index = |deg: usize| distinct.binary_search(&deg).expect("degree was collected");
-        let c = distinct.len();
-        let mut sizes = vec![0u64; c];
-        let mut edges = vec![0u64; c * c];
-        let mut class_of = vec![0u32; n];
-        for (v, slot) in class_of.iter_mut().enumerate() {
-            let cv = class_index(topo.degree(v));
-            *slot = cv as u32;
-            sizes[cv] += 1;
-        }
-        for v in 0..n {
-            let cv = class_of[v] as usize;
-            for &w in topo.neighbors(v) {
-                edges[cv * c + class_of[w as usize] as usize] += 1;
-            }
-        }
-        Self {
-            sizes,
-            degrees: distinct.iter().map(|&d| d as u64).collect(),
-            edges,
-            class_of: (c > 1).then_some(class_of),
-            num_nodes: n,
-        }
-    }
-
-    /// The number of degree classes `C`.
-    pub fn num_classes(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// The total number of nodes across all classes.
-    pub fn num_nodes(&self) -> usize {
-        self.num_nodes
-    }
-
-    /// The population `n_c` of class `class`.
-    pub fn size(&self, class: usize) -> u64 {
-        self.sizes[class]
-    }
-
-    /// The common degree `d_c` of class `class`.
-    pub fn degree(&self, class: usize) -> u64 {
-        self.degrees[class]
-    }
-
-    /// The directed edge count `E[from][to]` (ordered adjacent pairs).
-    pub fn directed_edges(&self, from: usize, to: usize) -> u64 {
-        self.edges[from * self.num_classes() + to]
-    }
-
-    /// The class of `node`.
-    pub fn class_of(&self, node: usize) -> usize {
-        debug_assert!(node < self.num_nodes);
-        match &self.class_of {
-            Some(map) => map[node] as usize,
-            None => 0,
-        }
-    }
-
-    /// The destination-class distribution of a uniform push from class
-    /// `from`: entry `c'` is `E[from][c'] / (n_from · d_from)`. All zeros
-    /// for a silent (degree-0) class.
-    pub fn destination_probabilities(&self, from: usize) -> Vec<f64> {
-        let c = self.num_classes();
-        let stubs = self.sizes[from] * self.degrees[from];
-        if stubs == 0 {
-            return vec![0.0; c];
-        }
-        (0..c)
-            .map(|to| self.edges[from * c + to] as f64 / stubs as f64)
-            .collect()
     }
 }
 
@@ -927,93 +725,6 @@ mod tests {
         assert_eq!(hits[4] + hits[6], 10_000, "only the two ring neighbors");
         let frac = f64::from(hits[4]) / 10_000.0;
         assert!((frac - 0.5).abs() < 0.03, "uniform split, got {frac}");
-    }
-
-    /// Row sums of the directed edge-count matrix must equal the stub
-    /// count `n_c · d_c` of each class, and sizes must cover every node.
-    fn check_class_invariants(classes: &DegreeClasses) {
-        let c = classes.num_classes();
-        let total: u64 = (0..c).map(|i| classes.size(i)).sum();
-        assert_eq!(total, classes.num_nodes() as u64);
-        for i in 0..c {
-            assert!(classes.size(i) > 0, "class {i} is non-empty");
-            if i > 0 {
-                assert!(classes.degree(i) > classes.degree(i - 1), "sorted by degree");
-            }
-            let row: u64 = (0..c).map(|j| classes.directed_edges(i, j)).sum();
-            assert_eq!(row, classes.size(i) * classes.degree(i), "row sum = stubs");
-            let probs = classes.destination_probabilities(i);
-            let mass: f64 = probs.iter().sum();
-            if classes.degree(i) > 0 {
-                assert!((mass - 1.0).abs() < 1e-12, "probabilities sum to 1");
-            } else {
-                assert_eq!(mass, 0.0, "silent class pushes nowhere");
-            }
-        }
-    }
-
-    #[test]
-    fn analytic_degree_classes_match_the_materialized_graph() {
-        // Every degree-homogeneous family, including the degenerate
-        // dedup cases (ring n = 2, torus side ≤ 2), must agree with the
-        // CSR-derived bucketing of the same realization.
-        let cases = [
-            (TopologySpec::Complete, 10usize),
-            (TopologySpec::Ring, 9),
-            (TopologySpec::Ring, 2),
-            (TopologySpec::Torus2D, 36),
-            (TopologySpec::Torus2D, 4),
-            (TopologySpec::Torus2D, 1),
-            (TopologySpec::RandomRegular { degree: 8 }, 200),
-            (TopologySpec::RandomRegular { degree: 3 }, 50),
-        ];
-        for (spec, n) in cases {
-            let mut rng = StdRng::seed_from_u64(7);
-            let analytic = DegreeClasses::build(spec, n, &mut rng).unwrap();
-            let materialized = build(spec, n).degree_classes();
-            assert_eq!(analytic, materialized, "{spec} on {n} nodes");
-            check_class_invariants(&analytic);
-            assert_eq!(analytic.num_classes(), 1, "{spec} is degree-homogeneous");
-            assert_eq!(analytic.class_of(n - 1), 0);
-        }
-        assert!(matches!(
-            DegreeClasses::build(TopologySpec::Torus2D, 37, &mut StdRng::seed_from_u64(7)),
-            Err(SimError::InvalidTopology { .. })
-        ));
-    }
-
-    #[test]
-    fn erdos_renyi_degree_classes_bucket_the_same_realization() {
-        let spec = TopologySpec::ErdosRenyi { p: 0.01 };
-        let n = 2_000;
-        let topo = build(spec, n);
-        let mut rng = StdRng::seed_from_u64(7);
-        let classes = DegreeClasses::build(spec, n, &mut rng).unwrap();
-        assert_eq!(classes, topo.degree_classes(), "same seed, same buckets");
-        check_class_invariants(&classes);
-        assert!(classes.num_classes() > 1, "er(p) has a degree distribution");
-        for v in 0..n {
-            assert_eq!(
-                classes.degree(classes.class_of(v)),
-                topo.degree(v) as u64,
-                "node {v} sits in the class of its own degree"
-            );
-        }
-        // Directed edges are symmetric in aggregate: E[c][c'] = E[c'][c].
-        for i in 0..classes.num_classes() {
-            for j in 0..classes.num_classes() {
-                assert_eq!(classes.directed_edges(i, j), classes.directed_edges(j, i));
-            }
-        }
-    }
-
-    #[test]
-    fn vertex_transitivity_is_a_family_property() {
-        assert!(TopologySpec::Complete.is_vertex_transitive());
-        assert!(TopologySpec::Ring.is_vertex_transitive());
-        assert!(TopologySpec::Torus2D.is_vertex_transitive());
-        assert!(TopologySpec::RandomRegular { degree: 8 }.is_vertex_transitive());
-        assert!(!TopologySpec::ErdosRenyi { p: 0.5 }.is_vertex_transitive());
     }
 
     #[test]

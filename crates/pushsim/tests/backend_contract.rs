@@ -3,9 +3,8 @@
 //!
 //! Every assertion below is written once against the trait (dyn-free —
 //! the suite is a generic function monomorphized per backend) and must hold
-//! identically for the agent-level `Network`, the count-based
-//! `CountingNetwork` and the degree-class `BlockCountingNetwork` (here
-//! driven on a ring, its sparse home turf): population conservation,
+//! identically for the agent-level `Network` and the count-based
+//! `CountingNetwork`: population conservation,
 //! seeding round-trips, phase and message counters, observation totals,
 //! and conservation through every decision operator. This is the seam the
 //! whole protocol stack builds on; if the backends ever diverge on one of
@@ -13,8 +12,8 @@
 
 use noisy_channel::NoiseMatrix;
 use pushsim::{
-    AdoptionScope, BlockCountingNetwork, CountingNetwork, DeliverySemantics, Network, Opinion,
-    PhaseObservation, PushBackend, SimConfig, SimError, TopologySpec,
+    AdoptionScope, CountingNetwork, DeliverySemantics, Network, Opinion, PhaseObservation,
+    PushBackend, SimConfig, SimError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,16 +39,6 @@ fn agent(seed: u64) -> Network {
 
 fn counting(seed: u64) -> CountingNetwork {
     CountingNetwork::new(config(seed, DeliverySemantics::Poissonized), noise()).unwrap()
-}
-
-fn block_counting(seed: u64) -> BlockCountingNetwork {
-    let config = SimConfig::builder(N, K)
-        .seed(seed)
-        .delivery(DeliverySemantics::Poissonized)
-        .topology(TopologySpec::Ring)
-        .build()
-        .unwrap();
-    BlockCountingNetwork::new(config, noise()).unwrap()
 }
 
 /// Seeding round-trips: `seed_counts` is reflected exactly in the
@@ -218,14 +207,6 @@ fn counting_backend_honours_the_contract() {
     check_phase_counters(&mut counting(2));
     check_decision_operators_conserve(&mut counting(3), &mut StdRng::seed_from_u64(103));
     check_reproducibility(counting);
-}
-
-#[test]
-fn block_counting_backend_honours_the_contract() {
-    check_seeding_roundtrip(&mut block_counting(1));
-    check_phase_counters(&mut block_counting(2));
-    check_decision_operators_conserve(&mut block_counting(3), &mut StdRng::seed_from_u64(103));
-    check_reproducibility(block_counting);
 }
 
 /// The agent backend's O(k) cached distribution agrees with a fresh

@@ -1,16 +1,15 @@
 //! Integration tests of the temporal-dynamics subsystem: the all-disabled
 //! temporal axes (`churn = none`, `schedule = const`, `clock = sync`) are
 //! bit-for-bit the pre-temporal simulator (same pinned digests on every
-//! delivery process and all three backends), enabled axes perturb the
+//! delivery process and both backends), enabled axes perturb the
 //! evolution deterministically, the capability constants match what the
 //! constructors accept, and the live population follows the deterministic
 //! churn arithmetic on every backend that supports it.
 
 use noisy_channel::NoiseMatrix;
 use pushsim::{
-    AdoptionScope, BlockCountingNetwork, ChurnSpec, ClockSpec, CountingNetwork,
-    DeliverySemantics, Network, NoiseSchedule, PushBackend, SimConfig,
-    TopologySpec,
+    AdoptionScope, ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, Network,
+    NoiseSchedule, PushBackend, SimConfig, TopologySpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -130,21 +129,6 @@ fn disabled_temporal_is_bit_identical_on_the_counting_backends() {
     )
     .unwrap();
     assert_eq!(tally_digest(default_net), tally_digest(explicit));
-
-    let ring = |axes: Option<Axes>| {
-        let mut builder = SimConfig::builder(500, 3)
-            .seed(0xBEEF)
-            .topology(TopologySpec::Ring)
-            .delivery(DeliverySemantics::Poissonized);
-        if let Some(axes) = axes {
-            builder = builder
-                .churn(axes.churn.parse().unwrap())
-                .schedule(axes.schedule.parse().unwrap())
-                .clock(axes.clock.parse().unwrap());
-        }
-        BlockCountingNetwork::new(builder.build().unwrap(), noise.clone()).unwrap()
-    };
-    assert_eq!(tally_digest(ring(None)), tally_digest(ring(Some(OFF))));
 }
 
 #[test]
@@ -224,12 +208,11 @@ fn temporal_capabilities_match_the_constructors() {
         assert!(<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.noise_schedule);
         assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.edge_churn);
         assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.clock);
-        assert!(!<BlockCountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.clock);
     }
     let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
 
-    // Clock skew needs per-agent identity: rejected by both count-level
-    // backends, accepted by the agent backend.
+    // Clock skew needs per-agent identity: rejected by the count-level
+    // backend, accepted by the agent backend.
     let skewed = config(
         DeliverySemantics::Poissonized,
         Some(Axes {
@@ -243,23 +226,15 @@ fn temporal_capabilities_match_the_constructors() {
     ));
     assert!(Network::new(skewed, noise.clone()).is_ok());
 
-    // The block backend rejects clocks; the agent backend accepts the
-    // same axis (with its own delivery constraint: Exact on sparse
-    // topologies, Poissonized being count-level-only there).
-    let drifting_ring = |delivery| {
-        SimConfig::builder(500, 3)
-            .seed(1)
-            .topology(TopologySpec::Ring)
-            .delivery(delivery)
-            .clock(ClockSpec::Drift { ppm: 100.0 })
-            .build()
-            .unwrap()
-    };
-    assert!(matches!(
-        BlockCountingNetwork::new(drifting_ring(DeliverySemantics::Poissonized), noise.clone()),
-        Err(pushsim::SimError::UnsupportedTemporal { .. })
-    ));
-    assert!(Network::new(drifting_ring(DeliverySemantics::Exact), noise.clone()).is_ok());
+    // Clocks compose with sparse topologies on the agent backend (which
+    // runs them under exact delivery only).
+    let drifting_ring = SimConfig::builder(500, 3)
+        .seed(1)
+        .topology(TopologySpec::Ring)
+        .clock(ClockSpec::Drift { ppm: 100.0 })
+        .build()
+        .unwrap();
+    assert!(Network::new(drifting_ring, noise.clone()).is_ok());
 
     // Edge churn (rewire) needs the materialized graph: agent-only.
     let rewired = SimConfig::builder(500, 3)
@@ -268,10 +243,6 @@ fn temporal_capabilities_match_the_constructors() {
         .churn("rewire(0.5)".parse().unwrap())
         .build()
         .unwrap();
-    assert!(matches!(
-        BlockCountingNetwork::new(rewired.clone(), noise.clone()),
-        Err(pushsim::SimError::UnsupportedTemporal { .. })
-    ));
     assert!(Network::new(rewired, noise).is_ok());
 }
 
@@ -289,17 +260,13 @@ fn live_population_follows_the_deterministic_churn_arithmetic() {
     };
     let mut agent = Network::new(build(DeliverySemantics::Exact), noise.clone()).unwrap();
     let mut counting =
-        CountingNetwork::new(build(DeliverySemantics::Poissonized), noise.clone()).unwrap();
-    let mut block =
-        BlockCountingNetwork::new(build(DeliverySemantics::Poissonized), noise).unwrap();
+        CountingNetwork::new(build(DeliverySemantics::Poissonized), noise).unwrap();
     agent.seed_counts(&[200, 100, 50]).unwrap();
     counting.seed_counts(&[200, 100, 50]).unwrap();
-    block.seed_counts(&[200, 100, 50]).unwrap();
     for phase in 0..5u64 {
         // The boundary preceding phase `p` has applied `p` boundaries.
         agent.begin_phase();
         counting.begin_phase();
-        block.begin_phase();
         let expected = churn.population_after(500, phase);
         assert_eq!(agent.num_nodes(), expected, "agent population, phase {phase}");
         assert_eq!(
@@ -307,16 +274,13 @@ fn live_population_follows_the_deterministic_churn_arithmetic() {
             expected,
             "counting population, phase {phase}"
         );
-        assert_eq!(block.num_nodes(), expected, "block population, phase {phase}");
         // Opinion counts + undecided always account for every live agent.
         let counted = counting.counts().iter().sum::<u64>() + counting.undecided();
         assert_eq!(counted as usize, expected);
         agent.push_round(|_, s| s.opinion());
         counting.push_round_all_opinionated();
-        block.push_round_all_opinionated();
         agent.end_phase();
         counting.end_phase();
-        block.end_phase();
     }
     // The burst at boundary 2 (after_phase 1) is visible: the population
     // dips below the initial size before the joins recover it.

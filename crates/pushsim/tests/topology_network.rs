@@ -172,63 +172,29 @@ fn sparse_runs_are_reproducible_and_seed_sensitive() {
 
 #[test]
 fn backend_capability_matches_the_constructors() {
-    use pushsim::TopologyCapability;
-    const {
-        assert!(matches!(
-            <Network as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::Any
-        ));
-        assert!(matches!(
-            <pushsim::CountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::Complete
-        ));
-        assert!(matches!(
-            <pushsim::BlockCountingNetwork as PushBackend>::TOPOLOGY_CAPABILITY,
-            TopologyCapability::VertexTransitive
-        ));
-    }
-    // Capabilities form the inclusion chain Complete ⊂ VertexTransitive ⊂
-    // Any over the spec families.
+    let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
     for spec in [
-        TopologySpec::Complete,
         TopologySpec::Ring,
         TopologySpec::Torus2D,
         TopologySpec::RandomRegular { degree: 8 },
         TopologySpec::ErdosRenyi { p: 0.1 },
     ] {
-        assert!(TopologyCapability::Any.supports(spec));
-        if TopologyCapability::Complete.supports(spec) {
-            assert!(TopologyCapability::VertexTransitive.supports(spec));
+        // Sparse topologies run agent-level under exact delivery …
+        let config = SimConfig::builder(49, 3).topology(spec).build().unwrap();
+        assert!(Network::new(config.clone(), noise.clone()).is_ok(), "{spec}");
+        // … never on the count-based backend, whose reformulation needs
+        // the complete graph's global exchangeability …
+        assert!(matches!(
+            pushsim::CountingNetwork::new(config, noise.clone()),
+            Err(pushsim::SimError::UnsupportedTopology { .. })
+        ));
+        // … and deferred delivery (a uniform scatter that would silently
+        // ignore the graph) is refused before any backend is built.
+        for delivery in [DeliverySemantics::BallsIntoBins, DeliverySemantics::Poissonized] {
+            assert!(matches!(
+                SimConfig::builder(49, 3).topology(spec).delivery(delivery).build(),
+                Err(pushsim::SimError::UnsupportedTopology { .. })
+            ));
         }
-        assert_eq!(
-            TopologyCapability::VertexTransitive.supports(spec),
-            spec.is_vertex_transitive()
-        );
     }
-    // The counting constructor rejects what the capability rules out; the
-    // config itself must request Poissonized-compatible (complete) wiring.
-    let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
-    let config = SimConfig::builder(50, 3)
-        .topology(TopologySpec::Ring)
-        .build()
-        .unwrap();
-    assert!(matches!(
-        pushsim::CountingNetwork::new(config, noise),
-        Err(pushsim::SimError::UnsupportedTopology { .. })
-    ));
-    // The agent constructor rejects sparse deferred delivery (the uniform
-    // scatter would silently ignore the graph) …
-    let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
-    let config = SimConfig::builder(50, 3)
-        .topology(TopologySpec::Ring)
-        .delivery(pushsim::DeliverySemantics::Poissonized)
-        .build()
-        .unwrap();
-    assert!(matches!(
-        Network::new(config.clone(), noise.clone()),
-        Err(pushsim::SimError::UnsupportedTopology { .. })
-    ));
-    // … which is exactly the configuration the block-counting backend
-    // accepts.
-    assert!(pushsim::BlockCountingNetwork::new(config, noise).is_ok());
 }
