@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for the push-model simulator: cost of one
-//! round and one phase under each delivery semantics, and the headline
-//! comparison of this repository's batched count-based delivery engine
-//! against per-message sampling. These numbers are the cost model behind
+//! round and one phase under each delivery semantics, and of the batched
+//! count-based delivery engine at n = 10⁵. These numbers are the cost model behind
 //! the experiment binaries' runtime estimates; `BENCH_pushsim.json` at the
 //! workspace root archives a baseline run.
 
@@ -13,8 +12,6 @@ use pushsim::{
     CountingNetwork, DeliverySemantics, Network, Opinion, PhaseObservation, PushBackend,
     SimConfig, TopologySpec,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -66,91 +63,17 @@ fn bench_poissonized_phase(c: &mut Criterion) {
     });
 }
 
-/// The pre-batching end-phase semantics, reproduced verbatim for the
-/// speedup comparison: one channel draw + one destination draw per pending
-/// message (process B), or per-message recoloring plus n·k Poisson draws
-/// (process P).
-mod legacy {
-    use super::*;
-
-    pub fn balls_into_bins(
-        pending: &[u64],
-        noise: &NoiseMatrix,
-        n: usize,
-        inbox: &mut [u32],
-        rng: &mut StdRng,
-    ) -> u64 {
-        let k = pending.len();
-        let mut delivered = 0;
-        for (opinion, &m) in pending.iter().enumerate() {
-            for _ in 0..m {
-                let received_as = noise.sample(opinion, rng);
-                let destination = rng.gen_range(0..n);
-                inbox[destination * k + received_as] += 1;
-                delivered += 1;
-            }
-        }
-        delivered
-    }
-
-    pub fn poissonized(
-        pending: &[u64],
-        noise: &NoiseMatrix,
-        n: usize,
-        inbox: &mut [u32],
-        rng: &mut StdRng,
-    ) -> u64 {
-        let k = pending.len();
-        let mut post_noise = vec![0u64; k];
-        for (opinion, &m) in pending.iter().enumerate() {
-            for _ in 0..m {
-                post_noise[noise.sample(opinion, rng)] += 1;
-            }
-        }
-        let mut delivered = 0;
-        for node in 0..n {
-            for (opinion, &h) in post_noise.iter().enumerate() {
-                if h == 0 {
-                    continue;
-                }
-                let copies = pushsim::poisson::sample(h as f64 / n as f64, rng);
-                inbox[node * k + opinion] += copies as u32;
-                delivered += copies;
-            }
-        }
-        delivered
-    }
-}
-
-/// The acceptance benchmark of the batching refactor: end-phase delivery at
-/// n = 10⁵ with full participation, per-message (legacy) vs batched
-/// (`Network::end_phase`). The batched path applies the noise with O(k²)
+/// End-phase delivery at n = 10⁵ with full participation
+/// (`Network::end_phase`): the batched path applies the noise with O(k²)
 /// multinomial draws and only pays a bare uniform scatter per message.
-fn bench_end_phase_per_message_vs_batched(c: &mut Criterion) {
+fn bench_end_phase_batched(c: &mut Criterion) {
     let n = 100_000usize;
     let k = 3usize;
-    let pending = [n as u64 / 2, n as u64 / 4, n as u64 / 4];
     let noise = NoiseMatrix::uniform(k, 0.2).expect("valid noise");
 
     let mut group = c.benchmark_group("pushsim_end_phase_n1e5");
     group.sample_size(10);
 
-    group.bench_function("legacy_per_message_B", |b| {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut inbox = vec![0u32; n * k];
-        b.iter(|| {
-            inbox.iter_mut().for_each(|c| *c = 0);
-            black_box(legacy::balls_into_bins(&pending, &noise, n, &mut inbox, &mut rng))
-        });
-    });
-    group.bench_function("legacy_per_message_P", |b| {
-        let mut rng = StdRng::seed_from_u64(4);
-        let mut inbox = vec![0u32; n * k];
-        b.iter(|| {
-            inbox.iter_mut().for_each(|c| *c = 0);
-            black_box(legacy::poissonized(&pending, &noise, n, &mut inbox, &mut rng))
-        });
-    });
     for semantics in [DeliverySemantics::BallsIntoBins, DeliverySemantics::Poissonized] {
         group.bench_function(format!("batched_{}", semantics.label()), |b| {
             let config = SimConfig::builder(n, k)
@@ -652,7 +575,7 @@ criterion_group! {
     name = benches;
     config = configured();
     targets = bench_round_throughput, bench_poissonized_phase,
-              bench_end_phase_per_message_vs_batched, bench_backend_scaling,
+              bench_end_phase_batched, bench_backend_scaling,
               bench_generic_vs_concrete_dispatch, bench_observer_dispatch,
               bench_topology_round, bench_topology_phase_scaling,
               bench_fault_overhead, bench_temporal_overhead

@@ -52,7 +52,7 @@ usage:
                                to /v1/runs, stream results from
                                /v1/runs/{id}/stream (see README)
   xp load [--addr <host:port>] [--clients N] [--requests R]
-          [--spec <path>|<name>] [--json] [--bench-append <file>]
+          [--spec <path>|<name>] [--json]
                                drive N concurrent clients against the service
                                (self-hosted on an ephemeral port unless
                                --addr is given) and verify every response
@@ -678,7 +678,6 @@ struct LoadArgs {
     /// Registry experiment name or spec file path (default `f2`).
     source: String,
     json: bool,
-    bench_append: Option<String>,
 }
 
 impl Default for LoadArgs {
@@ -689,7 +688,6 @@ impl Default for LoadArgs {
             requests: 2,
             source: "f2".to_string(),
             json: false,
-            bench_append: None,
         }
     }
 }
@@ -709,7 +707,6 @@ fn split_load_args(rest: &[String]) -> Result<LoadArgs, String> {
             "--requests" => parsed.requests = parse_count("--requests", &value_of("--requests")?)?,
             "--spec" => parsed.source = value_of("--spec")?,
             "--json" => parsed.json = true,
-            "--bench-append" => parsed.bench_append = Some(value_of("--bench-append")?),
             other if !other.starts_with('-') => parsed.source = other.to_string(),
             other => return Err(format!("unknown `xp load` argument {other:?}")),
         }
@@ -736,24 +733,6 @@ fn load_spec(source: &str) -> Result<ScenarioSpec, String> {
         )
     })?;
     ScenarioSpec::from_text(&text).map_err(|e| format!("{source}: {e}"))
-}
-
-/// Inserts a `{"name": …}` entry before the closing bracket of a JSON
-/// array file, creating the file if it does not exist.
-fn append_bench_entry(path: &str, entry: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|_| "[\n]\n".to_string());
-    let close = text
-        .rfind(']')
-        .ok_or_else(|| format!("{path}: not a JSON array"))?;
-    let head = text[..close].trim_end();
-    let mut out = String::from(head);
-    if head.ends_with('}') {
-        out.push(',');
-    }
-    out.push_str("\n  ");
-    out.push_str(entry);
-    out.push_str("\n]\n");
-    std::fs::write(path, out).map_err(|e| format!("{path}: {e}"))
 }
 
 /// `xp load`: hammer a scenario service with concurrent clients and
@@ -836,13 +815,6 @@ fn cmd_load(rest: &[String]) -> ExitCode {
             report.mean_latency().as_secs_f64() * 1e3
         );
     }
-    if let Some(path) = &parsed.bench_append {
-        if let Err(message) = append_bench_entry(path, &report.to_bench_entry(&name)) {
-            eprintln!("error: cannot append bench entry: {message}");
-            return ExitCode::FAILURE;
-        }
-        println!("xp load: appended bench entry to {path}");
-    }
     if report.clean() {
         ExitCode::SUCCESS
     } else {
@@ -922,25 +894,6 @@ mod tests {
 
         assert!(split_load_args(&to_args(&["--clients", "0"])).is_err());
         assert!(split_load_args(&to_args(&["--nope"])).is_err());
-    }
-
-    #[test]
-    fn bench_entries_append_inside_the_array() {
-        let dir = std::env::temp_dir().join("xp-bench-append-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-        append_bench_entry(path, "{\"name\": \"a\", \"ns_per_iter\": 1.0, \"iters\": 2}")
-            .unwrap();
-        append_bench_entry(path, "{\"name\": \"b\", \"ns_per_iter\": 3.0, \"iters\": 4}")
-            .unwrap();
-        let text = std::fs::read_to_string(path).unwrap();
-        assert!(text.starts_with('['), "array preserved: {text}");
-        assert!(text.trim_end().ends_with(']'), "array closed: {text}");
-        assert_eq!(text.matches("\"name\"").count(), 2);
-        assert!(text.contains("},\n  {"), "entries comma-separated: {text}");
-        let _ = std::fs::remove_file(path);
     }
 
     #[test]

@@ -24,7 +24,10 @@
 //! own `stop.*` keys: the round envelope oracle then measures actual
 //! convergence time instead of the fixed schedule length.
 
-use crate::runner::{axis_cells, axis_columns, expand_grid, resolve_counts, GridPoint, ProtocolRun};
+use crate::runner::{
+    axis_cells, axis_columns, cell_label, cell_params, expand_grid, resolve_counts, GridPoint,
+    ProtocolRun,
+};
 use crate::spec::{ScenarioKind, ScenarioSpec, SpecError};
 use gossip_analysis::observe::TrajectoryRecorder;
 use gossip_analysis::oracle::{OracleSuite, Violation};
@@ -32,7 +35,7 @@ use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::Table;
 use noisy_channel::NoiseMatrix;
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
-use plurality_core::{Outcome, ProtocolParams, TwoStageProtocol};
+use plurality_core::{Outcome, TwoStageProtocol};
 use pushsim::Opinion;
 
 /// Default number of seeds per campaign cell.
@@ -388,26 +391,6 @@ fn prepare(spec: &ScenarioSpec, options: &CampaignOptions) -> Result<Vec<CellPla
     Ok(plans)
 }
 
-/// Protocol parameters of one cell at one seed (mirrors the runner's
-/// parameter construction, plus the cell's fault model).
-fn cell_params(
-    spec: &ScenarioSpec,
-    point: &GridPoint,
-    seed: u64,
-) -> Result<ProtocolParams, SpecError> {
-    Ok(ProtocolParams::builder(point.n, point.k)
-        .epsilon(point.eps)
-        .seed(seed)
-        .delivery(spec.delivery)
-        .topology(point.topology)
-        .fault(point.fault)
-        .churn(point.churn)
-        .noise_schedule(point.schedule)
-        .clock(point.clock)
-        .constants(spec.constants)
-        .build()?)
-}
-
 /// The campaign's effective stop condition: the spec's `stop.*` keys plus
 /// stop-on-consensus, so the round-envelope oracle judges convergence time
 /// rather than the fixed schedule length.
@@ -462,26 +445,6 @@ fn execute_one(
     };
     let violations = suite.judge(&outcome);
     (outcome, violations)
-}
-
-/// A short human label of one cell ("k=3 fault=drop(0.2)", or "cell 0"
-/// when nothing is swept).
-fn cell_label(spec: &ScenarioSpec, point: &GridPoint) -> String {
-    let cells = axis_cells(spec, point);
-    let names: Vec<&str> = axis_columns(spec)
-        .iter()
-        .filter(|(_, shown)| *shown)
-        .map(|(name, _)| *name)
-        .collect();
-    if names.is_empty() {
-        return format!("cell {}", point.index);
-    }
-    names
-        .iter()
-        .zip(&cells)
-        .map(|(name, value)| format!("{name}={value}"))
-        .collect::<Vec<_>>()
-        .join(" ")
 }
 
 #[cfg(test)]

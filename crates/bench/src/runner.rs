@@ -550,24 +550,13 @@ impl Runner {
             return Ok(PointSummary::Gap(self.gap_point(point)));
         }
 
-        let GridPoint { k, n, eps, .. } = point;
-        let params = ProtocolParams::builder(n, k)
-            .epsilon(eps)
-            .seed(spec.seed)
-            .delivery(spec.delivery)
-            .topology(point.topology)
-            .fault(point.fault)
-            .churn(point.churn)
-            .noise_schedule(point.schedule)
-            .clock(point.clock)
-            .constants(spec.constants)
-            .build()?;
+        let params = cell_params(spec, &point, spec.seed)?;
         let noise_spec = if eps_swept {
-            spec.noise.with_epsilon(eps)
+            spec.noise.with_epsilon(point.eps)
         } else {
             spec.noise.clone()
         };
-        let noise = noise_spec.build(k)?;
+        let noise = noise_spec.build(point.k)?;
 
         if let ScenarioKind::PhaseStats { rounds, init } = &spec.kind {
             let counts = resolve_counts(init, point);
@@ -950,16 +939,7 @@ impl Runner {
                 .build::<B>()
                 .run_until(&mut net, rng, Some(plurality), stop, observer))
         }
-        let resolved = spec.backend.resolve(
-            point.n,
-            point.k,
-            spec.delivery,
-            point.topology,
-            point.fault,
-            point.churn,
-            point.clock,
-        );
-        match resolved {
+        match spec.backend.resolve(&config) {
             ExecutionBackend::Agent => {
                 let net = Network::new(config, noise.clone())?;
                 run(net, rule, counts, &mut rng, plurality, stop, observer)
@@ -996,12 +976,20 @@ fn emit_rows<W: Write + ?Sized>(out: &mut W, spec: &ScenarioSpec, result: &Point
     let _ = out.flush();
 }
 
-fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
-    if values.is_empty() {
-        vec![base]
+/// The values a run uses along one axis: the swept values, or the base
+/// value when the axis is not swept.
+pub(crate) fn axis<'a, T>(swept: &'a [T], base: &'a T) -> &'a [T] {
+    if swept.is_empty() {
+        std::slice::from_ref(base)
     } else {
-        values.to_vec()
+        swept
     }
+}
+
+/// [`axis`] for the axes whose base value may be absent (`bias`, `ell`,
+/// `delta`), without allocating.
+fn optional_axis<T: Copy>(swept: &[T], base: Option<T>) -> impl Iterator<Item = Option<T>> + '_ {
+    (0..swept.len().max(1)).map(move |i| swept.get(i).copied().or(base))
 }
 
 /// Expands a spec's sweep axes into the full grid (Cartesian product, axis
@@ -1012,53 +1000,38 @@ fn non_empty_or<T: Copy>(values: &[T], base: T) -> Vec<T> {
 /// execute at that index (and the scenario service's per-cell cache keys
 /// address exactly these points).
 pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridPoint> {
-    let ks = non_empty_or(&spec.sweep.k, spec.k);
-    let ns = non_empty_or(&spec.sweep.n, spec.n);
-    let epss = non_empty_or(&spec.sweep.eps, spec.epsilon);
+    let ks = axis(&spec.sweep.k, &spec.k);
+    let ns = axis(&spec.sweep.n, &spec.n);
+    let epss = axis(&spec.sweep.eps, &spec.epsilon);
     let base_bias = match spec.kind.init() {
         Some(InitSpec::Biased { bias }) => Some(*bias),
         _ => None,
-    };
-    let biases: Vec<Option<f64>> = if spec.sweep.bias.is_empty() {
-        vec![base_bias]
-    } else {
-        spec.sweep.bias.iter().map(|&b| Some(b)).collect()
     };
     let (base_ell, base_delta) = match spec.kind {
         ScenarioKind::SampleMajorityGap { ell, delta } => (Some(ell), Some(delta)),
         _ => (None, None),
     };
-    let ells: Vec<Option<u64>> = if spec.sweep.ell.is_empty() {
-        vec![base_ell]
-    } else {
-        spec.sweep.ell.iter().map(|&e| Some(e)).collect()
-    };
-    let deltas: Vec<Option<f64>> = if spec.sweep.delta.is_empty() {
-        vec![base_delta]
-    } else {
-        spec.sweep.delta.iter().map(|&d| Some(d)).collect()
-    };
-    let deliveries = non_empty_or(&spec.sweep.delivery, spec.delivery);
-    let topologies = non_empty_or(&spec.sweep.topology, spec.topology);
-    let faults = non_empty_or(&spec.sweep.fault, spec.fault);
-    let churns = non_empty_or(&spec.sweep.churn, spec.churn);
-    let schedules = non_empty_or(&spec.sweep.schedule, spec.schedule);
-    let clocks = non_empty_or(&spec.sweep.clock, spec.clock);
+    let deliveries = axis(&spec.sweep.delivery, &spec.delivery);
+    let topologies = axis(&spec.sweep.topology, &spec.topology);
+    let faults = axis(&spec.sweep.fault, &spec.fault);
+    let churns = axis(&spec.sweep.churn, &spec.churn);
+    let schedules = axis(&spec.sweep.schedule, &spec.schedule);
+    let clocks = axis(&spec.sweep.clock, &spec.clock);
 
-    let mut points = Vec::new();
+    let mut points = Vec::with_capacity(spec.sweep.num_points());
     let mut index = 0usize;
-    for &k in &ks {
-        for &n in &ns {
-            for &eps in &epss {
-                for &bias in &biases {
-                    for &ell in &ells {
-                        for &delta in &deltas {
-                            for &delivery in &deliveries {
-                                for &topology in &topologies {
-                                    for &fault in &faults {
-                                        for &churn in &churns {
-                                            for &schedule in &schedules {
-                                                for &clock in &clocks {
+    for &k in ks {
+        for &n in ns {
+            for &eps in epss {
+                for bias in optional_axis(&spec.sweep.bias, base_bias) {
+                    for ell in optional_axis(&spec.sweep.ell, base_ell) {
+                        for delta in optional_axis(&spec.sweep.delta, base_delta) {
+                            for &delivery in deliveries {
+                                for &topology in topologies {
+                                    for &fault in faults {
+                                        for &churn in churns {
+                                            for &schedule in schedules {
+                                                for &clock in clocks {
                                                     points.push(GridPoint {
                                                         index,
                                                         k,
@@ -1088,6 +1061,51 @@ pub fn expand_grid(spec: &ScenarioSpec) -> Vec<GridPoint> {
         }
     }
     points
+}
+
+/// Protocol parameters of one grid cell at one seed: the single place a
+/// spec and a [`GridPoint`] map onto [`ProtocolParams`], shared by the
+/// runner, the campaign engine and [`ScenarioSpec::validate`].
+///
+/// # Errors
+///
+/// [`SpecError::Protocol`] if the cell's parameters are out of range.
+pub fn cell_params(
+    spec: &ScenarioSpec,
+    point: &GridPoint,
+    seed: u64,
+) -> Result<ProtocolParams, SpecError> {
+    Ok(ProtocolParams::builder(point.n, point.k)
+        .epsilon(point.eps)
+        .seed(seed)
+        .delivery(point.delivery)
+        .topology(point.topology)
+        .fault(point.fault)
+        .churn(point.churn)
+        .noise_schedule(point.schedule)
+        .clock(point.clock)
+        .constants(spec.constants)
+        .build()?)
+}
+
+/// A short human label of one cell ("k=3 fault=drop(0.2)", or "cell 0"
+/// when nothing is swept).
+pub(crate) fn cell_label(spec: &ScenarioSpec, point: &GridPoint) -> String {
+    let cells = axis_cells(spec, point);
+    let names: Vec<&str> = axis_columns(spec)
+        .iter()
+        .filter(|(_, shown)| *shown)
+        .map(|(name, _)| *name)
+        .collect();
+    if names.is_empty() {
+        return format!("cell {}", point.index);
+    }
+    names
+        .iter()
+        .zip(&cells)
+        .map(|(name, value)| format!("{name}={value}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// Surfaces the protocol's own initial-counts validation as a recoverable

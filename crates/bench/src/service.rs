@@ -231,6 +231,18 @@ mod tests {
     }
 
     #[test]
+    fn plan_rejects_specs_with_a_cell_that_cannot_run() {
+        // The n = 1 cell would fail mid-run; planning refuses the job, so
+        // the service answers 400 instead of queueing it.
+        let body = include_str!("../tests/fixtures/sweep_n_one.spec");
+        let err = match SpecService.plan(body) {
+            Ok(_) => panic!("planning an unrunnable sweep must fail"),
+            Err(err) => err,
+        };
+        assert!(err.contains("at least 2 nodes"), "{err}");
+    }
+
+    #[test]
     fn plan_rejects_malformed_text_with_message() {
         let err = match SpecService.plan("scenario = nope\n") {
             Ok(_) => panic!("planning malformed text must fail"),

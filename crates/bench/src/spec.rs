@@ -79,11 +79,13 @@
 //! # }
 //! ```
 
-use noisy_channel::{NoiseError, NoiseMatrix, NoiseSpec};
+use crate::runner::{self, axis};
+use noisy_channel::{NoiseError, NoiseSpec};
 use opinion_dynamics::RuleSpec;
 use plurality_core::{ExecutionBackend, ProtocolConstants, ProtocolError, StopCondition};
 use pushsim::{
-    ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule, SimError, TopologySpec,
+    ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec, Network, NoiseSchedule,
+    PushBackend, SimError, TopologySpec,
 };
 use std::collections::BTreeMap;
 use std::fmt;
@@ -216,6 +218,11 @@ impl ScenarioKind {
 
     fn is_dynamics(&self) -> bool {
         matches!(self, ScenarioKind::DynamicsRule { .. })
+    }
+
+    /// True for the kinds that build a simulated network (all but `gap`).
+    fn simulates_network(&self) -> bool {
+        !matches!(self, ScenarioKind::SampleMajorityGap { .. })
     }
 }
 
@@ -642,22 +649,26 @@ impl ScenarioSpec {
         }
     }
 
-    /// Checks cross-field consistency (axis/kind compatibility, metric
-    /// support, non-degenerate trials). Parameter *ranges* are validated by
-    /// the underlying builders when the run is materialized.
+    /// Checks that every grid cell of the spec can run: first the rules
+    /// that exist only at spec level (axis/kind applicability, metric
+    /// support, non-degenerate trials, a crash the stop condition can
+    /// reach, a ramp schedule without an ε sweep), then each simulated
+    /// cell's parameters and simulator configuration, admitted against
+    /// the backend the cell runs on. Admission itself is the simulator's:
+    /// [`ProtocolParams`](plurality_core::ProtocolParams) validation,
+    /// [`SimConfigBuilder::build`](pushsim::SimConfigBuilder::build) and
+    /// [`PushBackend::admit`]. Noise-family parameter ranges are checked
+    /// when the run builds its noise matrices.
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError::Invalid`] describing the first inconsistency.
+    /// Returns [`SpecError::Invalid`] describing the first inconsistency;
+    /// a cell's error is prefixed with the cell's label.
     pub fn validate(&self) -> Result<(), SpecError> {
         if self.trials == 0 {
             return Err(SpecError::Invalid("trials must be at least 1".into()));
         }
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
+        let ks = axis(&self.sweep.k, &self.k);
         if let ScenarioKind::RumorSpreading { source } = self.kind {
             if let Some(&bad) = ks.iter().find(|&&k| source >= k) {
                 return Err(SpecError::Invalid(format!(
@@ -675,11 +686,7 @@ impl ScenarioSpec {
         if let Some(init) = self.kind.init() {
             match init {
                 InitSpec::Biased { bias } => {
-                    let biases = if self.sweep.bias.is_empty() {
-                        std::slice::from_ref(bias)
-                    } else {
-                        &self.sweep.bias
-                    };
+                    let biases = axis(&self.sweep.bias, bias);
                     if let Some(&bad) =
                         biases.iter().find(|b| !(0.0..1.0).contains(*b) || !b.is_finite())
                     {
@@ -725,281 +732,83 @@ impl ScenarioSpec {
             )));
         }
         self.validate_kind_specific_axes()?;
-        self.validate_topology()?;
-        self.validate_fault()?;
-        self.validate_temporal()?;
         self.validate_observe_and_stop()?;
+        self.validate_cells()
+    }
+
+    /// Admits every simulated grid cell: its protocol parameters, its
+    /// simulator configuration, and that configuration against the backend
+    /// the cell runs on (`phase` cells always run agent-level). Builds no
+    /// noise matrix, graph or network.
+    fn validate_cells(&self) -> Result<(), SpecError> {
+        if !self.kind.simulates_network() {
+            return Ok(());
+        }
+        for point in runner::expand_grid(self) {
+            let invalid = |e: &dyn fmt::Display| {
+                SpecError::Invalid(format!("{}: {e}", runner::cell_label(self, &point)))
+            };
+            let config = runner::cell_params(self, &point, self.seed)
+                .map_err(|e| invalid(&e))?
+                .sim_config()
+                .map_err(|e| invalid(&e))?;
+            let backend = match self.kind {
+                ScenarioKind::PhaseStats { .. } => ExecutionBackend::Agent,
+                _ => self.backend.resolve(&config),
+            };
+            match backend {
+                ExecutionBackend::Counting => CountingNetwork::admit(&config),
+                _ => Network::admit(&config),
+            }
+            .map_err(|e| invalid(&e))?;
+        }
         Ok(())
     }
 
-    /// The topology values a run will actually use (base or swept).
-    fn effective_topologies(&self) -> &[TopologySpec] {
-        if self.sweep.topology.is_empty() {
-            std::slice::from_ref(&self.topology)
-        } else {
-            &self.sweep.topology
+    /// Rejects keys and sweep axes on kinds that cannot interpret them.
+    fn validate_kind_specific_axes(&self) -> Result<(), SpecError> {
+        let sweep = &self.sweep;
+        let topology_set = !self.topology.is_complete() || !sweep.topology.is_empty();
+        if topology_set && !self.kind.simulates_network() {
+            return Err(SpecError::Invalid(format!(
+                "topology applies only to scenarios that simulate a network, not {}",
+                self.kind.name()
+            )));
         }
-    }
-
-    /// Checks topology/kind/delivery/backend consistency and that every
-    /// `(topology, n)` grid combination is feasible, so topology errors
-    /// surface at spec validation instead of as run-time panics deep in
-    /// the trial harness.
-    fn validate_topology(&self) -> Result<(), SpecError> {
-        let simulates = self.kind.is_protocol()
-            || self.kind.is_dynamics()
-            || matches!(self.kind, ScenarioKind::PhaseStats { .. });
-        if !simulates {
-            if !self.topology.is_complete() || !self.sweep.topology.is_empty() {
+        if !self.kind.is_protocol() {
+            if !self.fault.is_none() || !sweep.fault.is_empty() {
                 return Err(SpecError::Invalid(format!(
-                    "topology applies only to scenarios that simulate a network, not {}",
+                    "fault / sweep.fault apply only to protocol scenarios \
+                     (rumor, plurality, stage2), not {}",
                     self.kind.name()
                 )));
             }
-            return Ok(());
-        }
-        let ns = if self.sweep.n.is_empty() {
-            std::slice::from_ref(&self.n)
-        } else {
-            &self.sweep.n
-        };
-        let deliveries = if self.sweep.delivery.is_empty() {
-            std::slice::from_ref(&self.delivery)
-        } else {
-            &self.sweep.delivery
-        };
-        for topology in self.effective_topologies() {
-            for &n in ns {
-                topology.check(n).map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if topology.is_complete() {
-                continue;
-            }
-            // Processes B and P scatter a phase's messages into uniform
-            // bins, which would silently ignore the graph.
-            if let Some(delivery) = deliveries.iter().find(|d| **d != DeliverySemantics::Exact) {
+            let temporal = !self.churn.is_none()
+                || !self.schedule.is_const()
+                || !self.clock.is_sync()
+                || !sweep.churn.is_empty()
+                || !sweep.schedule.is_empty()
+                || !sweep.clock.is_empty();
+            if temporal {
                 return Err(SpecError::Invalid(format!(
-                    "topology {topology} does not admit {} delivery — sparse graphs \
-                     run agent-level with exact delivery only; use delivery = exact",
-                    delivery.spec_name()
-                )));
-            }
-            if self.backend == ExecutionBackend::Counting {
-                return Err(SpecError::Invalid(format!(
-                    "topology {topology} cannot run on the counting backend \
-                     (it is complete-graph-only); use agent or auto"
+                    "churn / schedule / clock apply only to protocol scenarios \
+                     (rumor, plurality, stage2), not {}",
+                    self.kind.name()
                 )));
             }
         }
-        Ok(())
-    }
-
-    /// The fault values a run will actually use (base or swept).
-    fn effective_faults(&self) -> &[FaultSpec] {
-        if self.sweep.fault.is_empty() {
-            std::slice::from_ref(&self.fault)
-        } else {
-            &self.sweep.fault
-        }
-    }
-
-    /// Checks fault/kind/topology/backend consistency statically, so fault
-    /// campaigns fail at spec validation instead of per grid cell at run
-    /// time.
-    fn validate_fault(&self) -> Result<(), SpecError> {
-        let enabled = !self.fault.is_none() || !self.sweep.fault.is_empty();
-        if !enabled {
-            return Ok(());
-        }
-        if !self.kind.is_protocol() {
-            return Err(SpecError::Invalid(format!(
-                "fault / sweep.fault apply only to protocol scenarios \
-                 (rumor, plurality, stage2), not {}",
-                self.kind.name()
-            )));
-        }
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
-        for fault in self.effective_faults() {
-            for &k in ks {
-                fault
-                    .check(k)
-                    .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if fault.is_none() {
-                continue;
-            }
-            if let Some(bad) = self.effective_topologies().iter().find(|t| !t.is_complete()) {
+        if !sweep.eps.is_empty() {
+            let schedules = axis(&sweep.schedule, &self.schedule);
+            if let Some(ramp) = schedules
+                .iter()
+                .find(|s| matches!(s, NoiseSchedule::Ramp { .. }))
+            {
                 return Err(SpecError::Invalid(format!(
-                    "fault {fault} requires the complete graph, not topology {bad}"
-                )));
-            }
-            if fault.delay > 0.0 && self.backend == ExecutionBackend::Counting {
-                return Err(SpecError::Invalid(format!(
-                    "fault {fault} uses delayed delivery, which the counting backend \
-                     cannot buffer; use agent or auto"
-                )));
-            }
-            if let (Some(crash), Some(max_rounds)) = (fault.crash, self.stop.max_rounds) {
-                // Completing phase s takes at least s + 1 rounds (every
-                // phase runs at least one round), so a crash scheduled
-                // after phase s can never act before the stop fires.
-                if crash.after_phase + 1 >= max_rounds {
-                    return Err(SpecError::Invalid(format!(
-                        "crash after phase {} can never activate: stop.max_rounds = \
-                         {max_rounds} ends the run first",
-                        crash.after_phase
-                    )));
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The churn values a run will actually use (base or swept).
-    fn effective_churns(&self) -> &[ChurnSpec] {
-        if self.sweep.churn.is_empty() {
-            std::slice::from_ref(&self.churn)
-        } else {
-            &self.sweep.churn
-        }
-    }
-
-    /// The noise schedules a run will actually use (base or swept).
-    fn effective_schedules(&self) -> &[NoiseSchedule] {
-        if self.sweep.schedule.is_empty() {
-            std::slice::from_ref(&self.schedule)
-        } else {
-            &self.sweep.schedule
-        }
-    }
-
-    /// The clock models a run will actually use (base or swept).
-    fn effective_clocks(&self) -> &[ClockSpec] {
-        if self.sweep.clock.is_empty() {
-            std::slice::from_ref(&self.clock)
-        } else {
-            &self.sweep.clock
-        }
-    }
-
-    /// Checks temporal-axis/kind/topology/fault/backend consistency
-    /// statically, mirroring the simulator's own admission rules so churn
-    /// and schedule campaigns fail at spec validation instead of per grid
-    /// cell at run time.
-    fn validate_temporal(&self) -> Result<(), SpecError> {
-        let enabled = !self.churn.is_none()
-            || !self.schedule.is_const()
-            || !self.clock.is_sync()
-            || !self.sweep.churn.is_empty()
-            || !self.sweep.schedule.is_empty()
-            || !self.sweep.clock.is_empty();
-        if !enabled {
-            return Ok(());
-        }
-        if !self.kind.is_protocol() {
-            return Err(SpecError::Invalid(format!(
-                "churn / schedule / clock apply only to protocol scenarios \
-                 (rumor, plurality, stage2), not {}",
-                self.kind.name()
-            )));
-        }
-        let ks = if self.sweep.k.is_empty() {
-            std::slice::from_ref(&self.k)
-        } else {
-            &self.sweep.k
-        };
-        for churn in self.effective_churns() {
-            for &k in ks {
-                churn
-                    .check(k)
-                    .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            }
-            if churn.has_population_churn() {
-                if let Some(bad) = self.effective_topologies().iter().find(|t| !t.is_complete())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} reshapes the population, which requires the \
-                         complete graph, not topology {bad}"
-                    )));
-                }
-                if let Some(bad) = self.effective_faults().iter().find(|f| {
-                    f.crash.is_some() || f.byzantine.is_some() || f.delay > 0.0
-                }) {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} cannot compose with the identity-pinning fault \
-                         {bad} (crash, byzantine and delay track per-agent identity \
-                         that arrivals and departures would scramble)"
-                    )));
-                }
-            }
-            if churn.has_edge_churn() {
-                if let Some(bad) =
-                    self.effective_topologies().iter().find(|t| !t.is_resampleable())
-                {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges, which requires a resampleable \
-                         random topology (regular(d) or er(p)), not {bad}"
-                    )));
-                }
-                if self.backend == ExecutionBackend::Counting {
-                    return Err(SpecError::Invalid(format!(
-                        "churn {churn} rewires edges, which only the agent backend \
-                         simulates; use agent or auto"
-                    )));
-                }
-            }
-        }
-        for schedule in self.effective_schedules() {
-            schedule
-                .check()
-                .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            // Every ε the schedule will inject must keep the uniform noise
-            // matrix valid (ε ≤ 1 − 1/k) for every k in the grid.
-            let epsilons = match *schedule {
-                NoiseSchedule::Const => vec![],
-                NoiseSchedule::Step { epsilon, .. } | NoiseSchedule::Burst { epsilon, .. } => {
-                    vec![epsilon]
-                }
-                NoiseSchedule::Ramp { start, end, .. } => vec![start, end],
-            };
-            for eps in epsilons {
-                for &k in ks {
-                    NoiseMatrix::uniform(k, eps).map_err(|e| {
-                        SpecError::Invalid(format!("schedule {schedule}: {e}"))
-                    })?;
-                }
-            }
-            if matches!(schedule, NoiseSchedule::Ramp { .. }) && !self.sweep.eps.is_empty() {
-                return Err(SpecError::Invalid(format!(
-                    "schedule {schedule} overrides ε in every phase, so sweep.eps \
+                    "schedule {ramp} overrides ε in every phase, so sweep.eps \
                      would have no observable effect"
                 )));
             }
         }
-        for clock in self.effective_clocks() {
-            clock
-                .check()
-                .map_err(|e| SpecError::Invalid(e.to_string()))?;
-            if clock.is_sync() {
-                continue;
-            }
-            if self.backend == ExecutionBackend::Counting {
-                return Err(SpecError::Invalid(format!(
-                    "clock {clock} desynchronizes agents, which the aggregate \
-                     counting backends cannot represent; use agent or auto"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Rejects sweep axes on kinds that cannot interpret them.
-    fn validate_kind_specific_axes(&self) -> Result<(), SpecError> {
-        let sweep = &self.sweep;
         match &self.kind {
             ScenarioKind::SampleMajorityGap { ell, delta } => {
                 if !sweep.n.is_empty() || !sweep.eps.is_empty() || !sweep.bias.is_empty() {
@@ -1012,19 +821,11 @@ impl ScenarioSpec {
                         "sweep.delivery applies only to phase scenarios".into(),
                     ));
                 }
-                let ells = if sweep.ell.is_empty() {
-                    std::slice::from_ref(ell)
-                } else {
-                    &sweep.ell
-                };
+                let ells = axis(&sweep.ell, ell);
                 if ells.contains(&0) {
                     return Err(SpecError::Invalid("ell must be at least 1".into()));
                 }
-                let deltas = if sweep.delta.is_empty() {
-                    std::slice::from_ref(delta)
-                } else {
-                    &sweep.delta
-                };
+                let deltas = axis(&sweep.delta, delta);
                 if let Some(&bad) =
                     deltas.iter().find(|d| !(0.0..1.0).contains(*d) || !d.is_finite())
                 {
@@ -1092,9 +893,24 @@ impl ScenarioSpec {
                 self.kind.name()
             )));
         }
-        if let Some(rounds) = self.stop.max_rounds {
-            if rounds == 0 {
+        if let Some(max_rounds) = self.stop.max_rounds {
+            if max_rounds == 0 {
                 return Err(SpecError::Invalid("stop.max_rounds must be at least 1".into()));
+            }
+            // Completing phase s takes at least s + 1 rounds (every phase
+            // runs at least one round), so a crash scheduled after phase s
+            // can never act before the stop fires.
+            let faults = axis(&self.sweep.fault, &self.fault);
+            if let Some(crash) = faults
+                .iter()
+                .filter_map(|f| f.crash)
+                .find(|crash| crash.after_phase + 1 >= max_rounds)
+            {
+                return Err(SpecError::Invalid(format!(
+                    "crash after phase {} can never activate: stop.max_rounds = \
+                     {max_rounds} ends the run first",
+                    crash.after_phase
+                )));
             }
         }
         if let Some(bias) = self.stop.bias {

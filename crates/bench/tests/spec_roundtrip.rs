@@ -615,3 +615,45 @@ fn drifting_clocks_cannot_be_forced_onto_counting_backends() {
         "expected a clock-vs-backend error, got: {err}"
     );
 }
+
+/// A spec validates only if every grid cell can run: a sweep whose second
+/// cell has a single node is rejected before the first row is streamed.
+#[test]
+fn a_sweep_with_an_unrunnable_cell_exits_2_before_streaming() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/sweep_n_one.spec"
+    );
+    let err = load_error(&std::fs::read_to_string(fixture).unwrap());
+    assert!(
+        err.contains("n=1"),
+        "the error must name the cell, got: {err}"
+    );
+    assert!(err.contains("at least 2 nodes"), "got: {err}");
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["run", "--spec", fixture, "--stream"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(output.stdout.is_empty(), "no row may be streamed");
+}
+
+#[test]
+fn an_out_of_range_epsilon_is_rejected_statically() {
+    let err = load_error("scenario = rumor\nsource = 0\nn = 500\nk = 3\nepsilon = 1.5\n");
+    assert!(
+        err.contains("epsilon 1.5"),
+        "expected an epsilon-range error, got: {err}"
+    );
+}
+
+#[test]
+fn a_one_node_dynamics_spec_is_rejected_statically() {
+    let err = load_error("scenario = dynamics\nrule = voter\nbias = 0.1\nn = 1\nk = 2\n");
+    assert!(
+        err.contains("at least 2 nodes"),
+        "expected a node-count error, got: {err}"
+    );
+}

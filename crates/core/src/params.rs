@@ -1,7 +1,10 @@
 //! Protocol parameters and the phase schedules of the two stages.
 
 use crate::error::ProtocolError;
-use pushsim::{ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule, TopologySpec};
+use pushsim::{
+    ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule, SimConfig, SimError,
+    TopologySpec,
+};
 
 /// The protocol's tunable constants.
 ///
@@ -270,6 +273,25 @@ impl ProtocolParams {
         &self.constants
     }
 
+    /// The run's simulator configuration: the single place the protocol
+    /// parameters map onto simulator knobs.
+    ///
+    /// # Errors
+    ///
+    /// The backend-independent admission errors of
+    /// [`SimConfigBuilder::build`](pushsim::SimConfigBuilder::build).
+    pub fn sim_config(&self) -> Result<SimConfig, SimError> {
+        SimConfig::builder(self.num_nodes, self.num_opinions)
+            .seed(self.seed)
+            .delivery(self.delivery)
+            .topology(self.topology)
+            .fault(self.fault)
+            .churn(self.churn)
+            .schedule(self.schedule_noise)
+            .clock(self.clock)
+            .build()
+    }
+
     /// Computes the full phase schedule of the two stages (Section 3.1).
     ///
     /// * Stage 1 has `T + 2` phases with
@@ -377,42 +399,35 @@ impl ProtocolParamsBuilder {
     }
 
     /// Sets the communication topology (default
-    /// [`TopologySpec::Complete`]). Feasibility against `n` and the
-    /// delivery process is validated when the run's network is built.
+    /// [`TopologySpec::Complete`]).
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.topology = topology;
         self
     }
 
     /// Sets the injected faults (default [`FaultSpec::none`], the paper's
-    /// fault-free model). Feasibility against `k`, the topology and the
-    /// execution backend is validated when the run's network is built.
+    /// fault-free model).
     pub fn fault(mut self, fault: FaultSpec) -> Self {
         self.fault = fault;
         self
     }
 
     /// Sets the population/edge churn (default [`ChurnSpec::none`], the
-    /// paper's static population). Feasibility against `k`, the topology,
-    /// the faults and the execution backend is validated when the run's
-    /// network is built.
+    /// paper's static population).
     pub fn churn(mut self, churn: ChurnSpec) -> Self {
         self.churn = churn;
         self
     }
 
     /// Sets the noise schedule `ε(t)` (default [`NoiseSchedule::constant`],
-    /// the paper's time-invariant channel). Scheduled ε values are
-    /// validated against the uniform family's domain when the run's
-    /// network is built.
+    /// the paper's time-invariant channel).
     pub fn noise_schedule(mut self, schedule: NoiseSchedule) -> Self {
         self.schedule_noise = schedule;
         self
     }
 
     /// Sets the clock model (default [`ClockSpec::sync`], the paper's
-    /// synchronous rounds). Backend support is validated when the run's
-    /// network is built.
+    /// synchronous rounds).
     pub fn clock(mut self, clock: ClockSpec) -> Self {
         self.clock = clock;
         self
@@ -433,6 +448,10 @@ impl ProtocolParamsBuilder {
     /// * [`ProtocolError::InvalidEpsilon`] unless `0 < ε < 1`.
     /// * [`ProtocolError::InvalidConstant`] if the constants violate
     ///   `φ > β > s > 0` or are not positive and finite.
+    ///
+    /// The simulator knobs (delivery, topology, fault, churn, noise
+    /// schedule, clock) are admitted by [`ProtocolParams::sim_config`] and
+    /// the backend the run resolves to.
     pub fn build(self) -> Result<ProtocolParams, ProtocolError> {
         if self.num_nodes < 2 {
             return Err(ProtocolError::TooFewNodes {

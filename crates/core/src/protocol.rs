@@ -8,8 +8,8 @@ use crate::record::{PhaseRecord, StageId};
 use crate::{stage1, stage2};
 use noisy_channel::NoiseMatrix;
 use pushsim::{
-    ChurnSpec, ClockSpec, CountingNetwork, DeliverySemantics, FaultSpec,
-    Network, Opinion, OpinionDistribution, PushBackend, SimConfig, TopologySpec,
+    CountingNetwork, DeliverySemantics, Network, Opinion, OpinionDistribution, PushBackend,
+    SimConfig,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,104 +62,58 @@ pub enum ExecutionBackend {
     Counting,
     /// Choose automatically per run, **without changing semantics**: the
     /// count-based backend is only eligible when the run already requests
-    /// its native Poissonized delivery on the complete graph; everything
-    /// else stays agent-level. When both are eligible the calibrated cost
-    /// model picks the cheaper one.
+    /// its native Poissonized delivery and the backend admits the
+    /// configuration; everything else stays agent-level. When both are
+    /// eligible the calibrated cost model picks the cheaper one.
     Auto,
 }
 
 impl ExecutionBackend {
     /// Resolves this request to a concrete backend ([`Agent`] or
     /// [`Counting`](Self::Counting) — never [`Auto`](Self::Auto)) for a
-    /// run with `num_nodes` agents, `num_opinions` opinions, the given
-    /// delivery semantics, communication topology and fault spec.
+    /// run with the given configuration.
     ///
     /// [`Agent`]: Self::Agent
     ///
     /// The `Auto` policy is **semantics-preserving**: it is a *speed*
     /// choice among backends that implement the requested process, never a
-    /// silent change of process.
+    /// silent change of process. It picks the counting backend only when
+    /// all three hold:
     ///
-    /// 1. **Delivery semantics first.** The count-based backend implements
-    ///    only the Poissonized process P, so requests for process O or B
-    ///    resolve to `Agent` at *any* scale. (Historically Auto silently
-    ///    switched exact runs above `n = 10⁵` to the counting backend's
-    ///    process-P law — a semantics change, not a speed choice. Callers
-    ///    that want an O(k²)-per-phase engine at scale request Poissonized
-    ///    delivery or a count-based backend explicitly; Claim 1 + Lemma 3
-    ///    justify that substitution *statistically*, but it is now the
-    ///    caller's stated intent instead of a hidden fallback.)
-    /// 2. **Topology.** The counting backend is complete-graph-only, so
-    ///    every non-complete topology resolves to `Agent` (which runs it
-    ///    with exact delivery only).
-    /// 3. **Faults.** Delayed-delivery faults resolve to `Agent` — the
-    ///    counting backend cannot buffer individual messages across
-    ///    phase boundaries ([`PushBackend::SUPPORTS_DELAY_FAULTS`] is
-    ///    `false` for it). The aggregatable fault families (drop,
-    ///    duplication, crash, Byzantine) leave the counting backend
-    ///    eligible on the complete graph.
-    /// 4. **Temporal axes.** Edge churn (`rewire`) and non-`sync` clocks
-    ///    need per-agent identity
-    ///    ([`PushBackend::TEMPORAL_CAPABILITY`]), so they resolve to
-    ///    `Agent` on every topology; population churn and noise schedules
-    ///    are aggregate operations that keep the counting backend eligible.
-    /// 5. **Cost model.** For Poissonized complete-graph runs, per-phase
-    ///    cost is estimated as `1.5 ns · n · k` for the agent backend
-    ///    (message volume dominates) vs `50 ns · k²` for the counting
-    ///    backend (one multinomial per noise-matrix row); the cheaper
-    ///    backend wins. Constants are calibrated from the archived
-    ///    `BENCH_pushsim.json` baseline.
+    /// 1. **Delivery is Poissonized.** The count-based backend implements
+    ///    only process P, so requests for process O or B resolve to
+    ///    `Agent` at *any* scale. Callers that want an O(k²)-per-phase
+    ///    engine at scale request Poissonized delivery or the counting
+    ///    backend explicitly.
+    /// 2. **The counting backend admits the configuration**
+    ///    ([`CountingNetwork::admit`]): the complete graph, no `delay`
+    ///    fault, no `rewire` churn, the `sync` clock.
+    /// 3. **The cost model prefers it.** Per-phase cost is estimated as
+    ///    `1.5 ns · n · k` for the agent backend (message volume
+    ///    dominates) vs `50 ns · k²` for the counting backend (one
+    ///    multinomial per noise-matrix row). Constants are calibrated from
+    ///    the archived `BENCH_pushsim.json` baseline.
     ///
-    /// Explicit `Agent` / `Counting` requests are never
-    /// overridden (an infeasible explicit request — counting on a ring —
-    /// fails at network construction with
+    /// Explicit `Agent` / `Counting` requests are never overridden (an
+    /// infeasible explicit request — counting on a ring — fails at network
+    /// construction with
     /// [`SimError::UnsupportedTopology`](pushsim::SimError) instead of
     /// being silently rerouted).
-    // One parameter per resolution-relevant configuration axis; bundling
-    // them into a struct would just move the field list one call up.
-    #[allow(clippy::too_many_arguments)]
-    pub fn resolve(
-        self,
-        num_nodes: usize,
-        num_opinions: usize,
-        delivery: DeliverySemantics,
-        topology: TopologySpec,
-        fault: FaultSpec,
-        churn: ChurnSpec,
-        clock: ClockSpec,
-    ) -> ExecutionBackend {
+    pub fn resolve(self, config: &SimConfig) -> ExecutionBackend {
         match self {
             ExecutionBackend::Agent | ExecutionBackend::Counting => self,
             ExecutionBackend::Auto => {
-                // Per-agent temporal axes first: edge churn resamples a
-                // materialized graph and clock models gate individual
-                // agents' pushes — both exist only at agent level
-                // (`TemporalCapability::AGGREGATE` rejects them).
-                if !clock.is_sync() || churn.has_edge_churn() {
-                    return ExecutionBackend::Agent;
-                }
-                // The counting backend only ever represents the Poissonized
-                // delivery law, and only on the complete graph (it needs
-                // global agent exchangeability); anything else is
-                // agent-level territory.
-                if delivery != DeliverySemantics::Poissonized || !topology.is_complete() {
-                    return ExecutionBackend::Agent;
-                }
-                // Complete graph: the counting backend is eligible unless
-                // the fault spec needs per-message delay buffering.
-                let counting_eligible = fault.aggregatable()
-                    || <CountingNetwork as PushBackend>::SUPPORTS_DELAY_FAULTS;
-                if !counting_eligible {
-                    return ExecutionBackend::Agent;
-                }
-                let agent_cost =
-                    AGENT_NS_PER_AGENT_OPINION * num_nodes as f64 * num_opinions as f64;
-                let counting_cost =
-                    COUNTING_NS_PER_CELL * (num_opinions * num_opinions) as f64;
-                if agent_cost <= counting_cost {
-                    ExecutionBackend::Agent
-                } else {
+                let n = config.num_nodes() as f64;
+                let k = config.num_opinions() as f64;
+                let counting_cheaper =
+                    COUNTING_NS_PER_CELL * k * k < AGENT_NS_PER_AGENT_OPINION * n * k;
+                if config.delivery() == DeliverySemantics::Poissonized
+                    && CountingNetwork::admit(config).is_ok()
+                    && counting_cheaper
+                {
                     ExecutionBackend::Counting
+                } else {
+                    ExecutionBackend::Agent
                 }
             }
         }
@@ -284,6 +238,8 @@ impl Outcome {
 pub struct TwoStageProtocol {
     params: ProtocolParams,
     noise: NoiseMatrix,
+    /// The run's simulator configuration, built once from `params`.
+    config: SimConfig,
 }
 
 impl TwoStageProtocol {
@@ -291,8 +247,11 @@ impl TwoStageProtocol {
     ///
     /// # Errors
     ///
-    /// Returns [`ProtocolError::NoiseDimensionMismatch`] if the noise matrix
-    /// is not over exactly `params.num_opinions()` opinions.
+    /// * [`ProtocolError::NoiseDimensionMismatch`] if the noise matrix is
+    ///   not over exactly `params.num_opinions()` opinions.
+    /// * [`ProtocolError::Simulation`] if the parameters do not form a
+    ///   valid simulator configuration
+    ///   ([`ProtocolParams::sim_config`]).
     pub fn new(params: ProtocolParams, noise: NoiseMatrix) -> Result<Self, ProtocolError> {
         if noise.num_opinions() != params.num_opinions() {
             return Err(ProtocolError::NoiseDimensionMismatch {
@@ -300,7 +259,12 @@ impl TwoStageProtocol {
                 found: noise.num_opinions(),
             });
         }
-        Ok(Self { params, noise })
+        let config = params.sim_config()?;
+        Ok(Self {
+            params,
+            noise,
+            config,
+        })
     }
 
     /// The run parameters.
@@ -495,17 +459,9 @@ impl TwoStageProtocol {
     }
 
     /// Resolves an [`ExecutionBackend`] request against this protocol's
-    /// parameters (see [`ExecutionBackend::resolve`]).
+    /// simulator configuration (see [`ExecutionBackend::resolve`]).
     pub fn resolve(&self, backend: ExecutionBackend) -> ExecutionBackend {
-        backend.resolve(
-            self.params.num_nodes(),
-            self.params.num_opinions(),
-            self.params.delivery(),
-            self.params.topology(),
-            self.params.fault(),
-            self.params.churn(),
-            self.params.clock(),
-        )
+        backend.resolve(&self.config)
     }
 
     /// Validates plurality-instance initial counts and returns the unique
@@ -553,28 +509,17 @@ impl TwoStageProtocol {
         Ok(Opinion::new(plurality[0]))
     }
 
-    /// The run's [`SimConfig`], shared by both network builders (the
-    /// single place the protocol parameters map onto simulator knobs).
-    fn sim_config(&self) -> Result<SimConfig, ProtocolError> {
-        Ok(SimConfig::builder(self.params.num_nodes(), self.params.num_opinions())
-            .seed(self.params.seed())
-            .delivery(self.params.delivery())
-            .topology(self.params.topology())
-            .fault(self.params.fault())
-            .churn(self.params.churn())
-            .schedule(self.params.noise_schedule())
-            .clock(self.params.clock())
-            .build()?)
-    }
-
     /// Builds the simulation network for one run.
     fn build_network(&self) -> Result<Network, ProtocolError> {
-        Ok(Network::new(self.sim_config()?, self.noise.clone())?)
+        Ok(Network::new(self.config.clone(), self.noise.clone())?)
     }
 
     /// Builds the count-based network for one run.
     fn build_counting_network(&self) -> Result<CountingNetwork, ProtocolError> {
-        Ok(CountingNetwork::new(self.sim_config()?, self.noise.clone())?)
+        Ok(CountingNetwork::new(
+            self.config.clone(),
+            self.noise.clone(),
+        )?)
     }
 
     /// The RNG used for the protocol's own decisions (distinct from the
@@ -832,6 +777,7 @@ pub fn run_plurality_consensus(
 mod tests {
     use super::*;
     use crate::params::ProtocolConstants;
+    use pushsim::TopologySpec;
 
     fn uniform_noise(k: usize, eps: f64) -> NoiseMatrix {
         NoiseMatrix::uniform(k, eps).unwrap()
@@ -980,105 +926,67 @@ mod tests {
     #[test]
     fn auto_resolution_preserves_the_requested_semantics() {
         use pushsim::DeliverySemantics::{BallsIntoBins, Exact, Poissonized};
+        use pushsim::{SimConfigBuilder, SimError};
+        use ExecutionBackend::{Agent, Counting};
         let complete = TopologySpec::Complete;
-        let no_fault = FaultSpec::none();
-        let no_churn = ChurnSpec::none();
-        let sync = ClockSpec::sync();
+        let cfg = |n, k, delivery, topology| {
+            SimConfig::builder(n, k)
+                .delivery(delivery)
+                .topology(topology)
+        };
+        let auto =
+            |builder: SimConfigBuilder| ExecutionBackend::Auto.resolve(&builder.build().unwrap());
         // Exact-semantics requests (processes O and B) stay agent-level at
         // *every* scale: the counting backend only implements process P,
         // so resolving them to it would change the delivery law, not just
         // the speed. (The historical policy did exactly that above
         // n = 10⁵.)
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(1_000, 3, Exact, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000_000, 3, Exact, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(50_000, 4, BallsIntoBins, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
+        assert_eq!(auto(cfg(1_000, 3, Exact, complete)), Agent);
+        assert_eq!(auto(cfg(10_000_000, 3, Exact, complete)), Agent);
+        assert_eq!(auto(cfg(50_000, 4, BallsIntoBins, complete)), Agent);
         // Process P is native to the counting backend: the cost model picks
         // counting as soon as n·k message work exceeds k² draw work.
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Counting
-        );
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(30, 3, Poissonized, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
+        assert_eq!(auto(cfg(10_000, 3, Poissonized, complete)), Counting);
+        assert_eq!(auto(cfg(30, 3, Poissonized, complete)), Agent);
         // Non-complete topologies with exact delivery run agent-level,
         // whatever the scale — the count-based backend only implements
         // process P.
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000_000, 3, Exact, TopologySpec::Ring, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
-        // Every non-complete topology resolves to Agent even when the
-        // delivery is Poissonized: the counting backend needs the complete
-        // graph.
+        assert_eq!(auto(cfg(10_000_000, 3, Exact, TopologySpec::Ring)), Agent);
+        // Every non-complete topology resolves to Agent; with Poissonized
+        // delivery it is not even a valid configuration, so Auto is never
+        // asked about it.
         for spec in [
             TopologySpec::Ring,
             TopologySpec::Torus2D,
             TopologySpec::RandomRegular { degree: 8 },
             TopologySpec::ErdosRenyi { p: 0.1 },
         ] {
-            assert_eq!(
-                ExecutionBackend::Auto.resolve(10_000_000, 3, Poissonized, spec, no_fault, no_churn, sync),
-                ExecutionBackend::Agent
-            );
+            assert_eq!(auto(cfg(10_000, 3, Exact, spec)), Agent);
+            assert!(matches!(
+                cfg(10_000, 3, Poissonized, spec).build(),
+                Err(SimError::UnsupportedTopology { .. })
+            ));
         }
         // Aggregatable faults keep the counting backend eligible; delayed
         // delivery forces the agent backend, which buffers real messages.
-        let aggregatable: FaultSpec = "drop(0.1)+byz(0.05:0)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, complete, aggregatable, no_churn, sync),
-            ExecutionBackend::Counting
-        );
-        let delayed: FaultSpec = "delay(0.2)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, complete, delayed, no_churn, sync),
-            ExecutionBackend::Agent
-        );
+        let poisson = || cfg(10_000, 3, Poissonized, complete);
+        let aggregatable = "drop(0.1)+byz(0.05:0)".parse().unwrap();
+        assert_eq!(auto(poisson().fault(aggregatable)), Counting);
+        assert_eq!(auto(poisson().fault("delay(0.2)".parse().unwrap())), Agent);
         // Per-agent temporal axes force the agent backend on every
         // topology; the aggregate axes (population churn, schedules) do
         // not change the resolution.
-        let skew: ClockSpec = "skew(0.1)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, complete, no_fault, no_churn, skew),
-            ExecutionBackend::Agent
-        );
-        let rewire: ChurnSpec = "rewire(0.5)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(
-                10_000,
-                3,
-                Poissonized,
-                TopologySpec::RandomRegular { degree: 8 },
-                no_fault,
-                rewire,
-                sync
-            ),
-            ExecutionBackend::Agent
-        );
-        let population: ChurnSpec = "join(0.01)+leave(0.01)".parse().unwrap();
-        assert_eq!(
-            ExecutionBackend::Auto.resolve(10_000, 3, Poissonized, complete, no_fault, population, sync),
-            ExecutionBackend::Counting
-        );
+        assert_eq!(auto(poisson().clock("skew(0.1)".parse().unwrap())), Agent);
+        let regular = TopologySpec::RandomRegular { degree: 8 };
+        let rewire = "rewire(0.5)".parse().unwrap();
+        assert_eq!(auto(cfg(10_000, 3, Exact, regular).churn(rewire)), Agent);
+        let population = "join(0.01)+leave(0.01)".parse().unwrap();
+        assert_eq!(auto(poisson().churn(population)), Counting);
         // Explicit requests are never overridden.
-        assert_eq!(
-            ExecutionBackend::Agent.resolve(10_000_000, 3, Exact, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Agent
-        );
-        assert_eq!(
-            ExecutionBackend::Counting.resolve(10, 2, Exact, complete, no_fault, no_churn, sync),
-            ExecutionBackend::Counting
-        );
+        let exact = cfg(10_000_000, 3, Exact, complete).build().unwrap();
+        assert_eq!(Agent.resolve(&exact), Agent);
+        let small = cfg(10, 2, Exact, complete).build().unwrap();
+        assert_eq!(Counting.resolve(&small), Counting);
     }
 
     #[test]

@@ -47,6 +47,25 @@ pub fn binary_flip(epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
     ])
 }
 
+/// Checks the [`uniform`] family's domain without building the matrix.
+///
+/// # Errors
+///
+/// Same as [`uniform`].
+pub fn check_uniform(k: usize, epsilon: f64) -> Result<(), NoiseError> {
+    if k < 2 {
+        return Err(NoiseError::TooFewOpinions { found: k });
+    }
+    let max = 1.0 - 1.0 / k as f64;
+    if !(epsilon.is_finite() && epsilon > 0.0 && epsilon <= max + 1e-12) {
+        return Err(NoiseError::InvalidEpsilon {
+            value: epsilon,
+            max,
+        });
+    }
+    Ok(())
+}
+
 /// The uniform k-ary noise matrix: `1/k + ε` on the diagonal and
 /// `1/k − ε/(k−1)` everywhere else.
 ///
@@ -59,16 +78,7 @@ pub fn binary_flip(epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
 /// * [`NoiseError::TooFewOpinions`] if `k < 2`.
 /// * [`NoiseError::InvalidEpsilon`] unless `0 < ε ≤ 1 − 1/k`.
 pub fn uniform(k: usize, epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
-    if k < 2 {
-        return Err(NoiseError::TooFewOpinions { found: k });
-    }
-    let max = 1.0 - 1.0 / k as f64;
-    if !(epsilon.is_finite() && epsilon > 0.0 && epsilon <= max + 1e-12) {
-        return Err(NoiseError::InvalidEpsilon {
-            value: epsilon,
-            max,
-        });
-    }
+    check_uniform(k, epsilon)?;
     let diag = 1.0 / k as f64 + epsilon;
     let off = 1.0 / k as f64 - epsilon / (k as f64 - 1.0);
     let rows = (0..k)

@@ -64,7 +64,6 @@ use crate::error::SimError;
 use crate::inbox::Inboxes;
 use crate::network::{Network, RoundReport};
 use crate::opinion::{NodeState, Opinion};
-use crate::temporal::TemporalCapability;
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 
@@ -195,33 +194,19 @@ pub trait PushBackend {
     /// The phase result type ([`Inboxes`] or [`PhaseTally`]).
     type Observation: PhaseObservation;
 
-    /// Static capability: `true` if the backend can simulate the `delay`
-    /// family of [`FaultSpec`](crate::FaultSpec) (messages deferred to the
-    /// next phase). The agent backend can (it buffers the delayed
-    /// post-noise counts and scatters them at the next `begin_phase`); the
-    /// counting backend cannot — deferring individual messages across the
-    /// phase boundary needs per-message identity its aggregate
-    /// reformulation gives up — and its constructor rejects such
-    /// configurations. All other fault families (drop, dup, crash,
-    /// Byzantine) are supported by both backends. Backend-selection
-    /// policies consult this constant instead of hard-coding backend
-    /// names.
-    const SUPPORTS_DELAY_FAULTS: bool;
-
-    /// Static capability: which temporal features
-    /// ([`ChurnSpec`](crate::ChurnSpec),
-    /// [`NoiseSchedule`](crate::NoiseSchedule),
-    /// [`ClockSpec`](crate::ClockSpec)) the backend can simulate. The agent
-    /// backend supports everything
-    /// ([`TemporalCapability::FULL`]); the counting backend supports the
-    /// aggregate subset ([`TemporalCapability::AGGREGATE`]): population
-    /// churn and noise schedules are O(k) bulk operations on the count
-    /// vectors, but edge churn and clock skew need per-agent identity
-    /// (explicit adjacency, per-agent clock rates) that the count-level
-    /// reformulation gives up. Constructors reject configurations outside
-    /// their capability and backend-selection policies consult this
-    /// constant instead of hard-coding backend names.
-    const TEMPORAL_CAPABILITY: TemporalCapability;
+    /// Checks this backend's own admission rules against `config`; the
+    /// backend-independent rules already hold for every [`SimConfig`]
+    /// (they live in [`SimConfigBuilder::build`](crate::SimConfigBuilder::build)).
+    /// The constructor calls it first, and backend-selection policies ask
+    /// it instead of hard-coding backend names. The agent backend admits
+    /// every configuration. The counting backend needs the complete graph,
+    /// no `delay` fault, no `rewire` churn and the `sync` clock; see
+    /// [`CountingNetwork::new`].
+    ///
+    /// # Errors
+    ///
+    /// The [`SimError`] of the first rule `config` breaks.
+    fn admit(config: &SimConfig) -> Result<(), SimError>;
 
     /// The simulation configuration.
     fn config(&self) -> &SimConfig;
@@ -334,9 +319,9 @@ pub trait PushBackend {
 impl PushBackend for Network {
     type Observation = Inboxes;
 
-    const SUPPORTS_DELAY_FAULTS: bool = true;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::FULL;
+    fn admit(_config: &SimConfig) -> Result<(), SimError> {
+        Ok(())
+    }
 
     fn config(&self) -> &SimConfig {
         Network::config(self)
@@ -487,9 +472,9 @@ impl PushBackend for Network {
 impl PushBackend for CountingNetwork {
     type Observation = PhaseTally;
 
-    const SUPPORTS_DELAY_FAULTS: bool = false;
-
-    const TEMPORAL_CAPABILITY: TemporalCapability = TemporalCapability::AGGREGATE;
+    fn admit(config: &SimConfig) -> Result<(), SimError> {
+        CountingNetwork::admit(config)
+    }
 
     fn config(&self) -> &SimConfig {
         CountingNetwork::config(self)

@@ -183,30 +183,22 @@ impl SimConfigBuilder {
     }
 
     /// Sets the communication topology (default
-    /// [`TopologySpec::Complete`], the paper's model). Non-complete
-    /// topologies allow only [`DeliverySemantics::Exact`] (agent-level
-    /// push along neighbor lists): processes B and P scatter a phase's
-    /// messages into *uniform* bins, a complete-graph notion.
+    /// [`TopologySpec::Complete`], the paper's model). [`build`](Self::build)
+    /// lists the combinations it admits.
     pub fn topology(mut self, topology: TopologySpec) -> Self {
         self.topology = topology;
         self
     }
 
     /// Sets the injected faults (default [`FaultSpec::none`], i.e. the
-    /// fault-free paper model). Enabled faults require the complete
-    /// graph: a duplicated or delayed message is re-scattered *uniformly*,
-    /// which only makes sense when every agent can reach every other.
+    /// fault-free paper model).
     pub fn fault(mut self, fault: FaultSpec) -> Self {
         self.fault = fault;
         self
     }
 
     /// Sets the population/edge churn (default [`ChurnSpec::none`], i.e.
-    /// the static-population paper model). Population churn (`join`,
-    /// `leave`, `burst`) requires the complete graph and does not
-    /// compose with crash/Byzantine/delay faults; edge churn (`rewire`)
-    /// requires a re-sampleable randomized topology (`regular(d)` or
-    /// `er(p)`) under exact delivery.
+    /// the static-population paper model).
     pub fn churn(mut self, churn: ChurnSpec) -> Self {
         self.churn = churn;
         self
@@ -214,23 +206,22 @@ impl SimConfigBuilder {
 
     /// Sets the noise schedule (default [`NoiseSchedule::Const`], the
     /// paper's constant channel). Non-constant schedules swap in the
-    /// uniform ε-noise family per phase; scheduled ε values must lie in
-    /// `(0, 1 − 1/k]` (the upper bound is checked when the backend is
-    /// built).
+    /// uniform ε-noise family per phase.
     pub fn schedule(mut self, schedule: NoiseSchedule) -> Self {
         self.schedule = schedule;
         self
     }
 
     /// Sets the activation clock (default [`ClockSpec::Sync`], the
-    /// paper's lockstep rounds). Non-`sync` clocks need the agent
-    /// backend.
+    /// paper's lockstep rounds).
     pub fn clock(mut self, clock: ClockSpec) -> Self {
         self.clock = clock;
         self
     }
 
-    /// Validates and builds the configuration.
+    /// Validates and builds the configuration: the backend-independent
+    /// admission rules. Each backend's own rules live in
+    /// [`PushBackend::admit`](crate::PushBackend::admit).
     ///
     /// # Errors
     ///
@@ -246,7 +237,8 @@ impl SimConfigBuilder {
     ///   with a non-complete topology.
     /// * [`SimError::InvalidTemporal`] if the churn, schedule or clock
     ///   parameters are infeasible ([`ChurnSpec::check`],
-    ///   [`NoiseSchedule::check`], [`ClockSpec::check`]).
+    ///   [`NoiseSchedule::check`], [`ClockSpec::check`]), or a scheduled ε
+    ///   falls outside the uniform noise family's domain `(0, 1 − 1/k]`.
     /// * [`SimError::UnsupportedTemporal`] if population churn is
     ///   combined with a non-complete topology or with
     ///   crash/Byzantine/delay faults, or edge churn (`rewire`) with a
@@ -270,18 +262,39 @@ impl SimConfigBuilder {
         if !self.topology.is_complete() && self.delivery != DeliverySemantics::Exact {
             return Err(SimError::UnsupportedTopology {
                 topology: self.topology.label(),
-                context: format!("deferred delivery (process {})", self.delivery.label()),
+                context: format!(
+                    "deferred delivery (process {}): sparse graphs run agent-level with \
+                     exact delivery only; use delivery = exact",
+                    self.delivery.label()
+                ),
             });
         }
         self.fault.check(self.num_opinions)?;
         if !self.fault.is_none() && !self.topology.is_complete() {
             return Err(SimError::UnsupportedFault {
                 fault: self.fault.label(),
-                context: format!("the non-complete topology {}", self.topology.label()),
+                context: format!(
+                    "the non-complete topology {}: fault injection is defined on the \
+                     complete graph only (duplicated and delayed messages are \
+                     re-scattered uniformly)",
+                    self.topology.label()
+                ),
             });
         }
         self.churn.check(self.num_opinions)?;
         self.schedule.check()?;
+        // Checked here, once, so a phase-boundary matrix swap never fails.
+        for eps in self.schedule.scheduled_epsilons() {
+            if noisy_channel::families::check_uniform(self.num_opinions, eps).is_err() {
+                return Err(SimError::InvalidTemporal {
+                    reason: format!(
+                        "schedule {}: scheduled epsilon {eps} is outside the uniform noise \
+                         family's domain (0, 1 - 1/k] for k = {}",
+                        self.schedule, self.num_opinions
+                    ),
+                });
+            }
+        }
         self.clock.check()?;
         if self.churn.has_population_churn() {
             // Join/leave/burst reshape the population; on a sparse graph
@@ -291,7 +304,11 @@ impl SimConfigBuilder {
             if !self.topology.is_complete() {
                 return Err(SimError::UnsupportedTemporal {
                     feature: "population churn".to_string(),
-                    context: format!("the non-complete topology {}", self.topology.label()),
+                    context: format!(
+                        "the non-complete topology {}: reshaping the population requires \
+                         the complete graph",
+                        self.topology.label()
+                    ),
                 });
             }
             if self.fault.crash.is_some()
@@ -301,7 +318,8 @@ impl SimConfigBuilder {
                 return Err(SimError::UnsupportedTemporal {
                     feature: "population churn".to_string(),
                     context: format!(
-                        "the identity-pinning fault spec {}",
+                        "the identity-pinning fault spec {} (crash, byz and delay track \
+                         per-agent identity that arrivals and departures would scramble)",
                         self.fault.label()
                     ),
                 });
@@ -312,7 +330,11 @@ impl SimConfigBuilder {
         if self.churn.has_edge_churn() && !self.topology.is_resampleable() {
             return Err(SimError::UnsupportedTemporal {
                 feature: "edge churn (rewire)".to_string(),
-                context: format!("the non-resampleable topology {}", self.topology.label()),
+                context: format!(
+                    "the non-resampleable topology {}: rewiring needs a resampleable \
+                     random topology, regular(d) or er(p)",
+                    self.topology.label()
+                ),
             });
         }
         Ok(SimConfig {
@@ -549,6 +571,17 @@ mod tests {
                 .build(),
             Err(SimError::InvalidTemporal { .. })
         ));
+        // Scheduled ε must lie in the uniform family's domain
+        // (0, 1 − 1/k]: 0.6 is fine for k = 3, not for k = 2, and the
+        // error names the schedule.
+        let step = "step(0.6@2)".parse().unwrap();
+        assert!(SimConfig::builder(10, 3).schedule(step).build().is_ok());
+        match SimConfig::builder(10, 2).schedule(step).build() {
+            Err(SimError::InvalidTemporal { reason }) => {
+                assert!(reason.contains("step(0.6@2)"), "{reason}");
+            }
+            other => panic!("expected an invalid-temporal error, got {other:?}"),
+        }
         assert!(SimConfig::builder(10, 3)
             .schedule("burst(0.05@2:3)".parse().unwrap())
             .clock("skew(0.1)".parse().unwrap())

@@ -328,58 +328,17 @@ impl CountingNetwork {
     ///
     /// * [`SimError::NoiseDimensionMismatch`] if the noise matrix is not
     ///   defined over exactly `config.num_opinions()` opinions.
-    /// * [`SimError::UnsupportedTopology`] if the configuration requests a
-    ///   non-complete topology: the count-based backend is
-    ///   complete-graph-only; sparse topologies run on the agent-level
-    ///   [`Network`](crate::Network).
-    /// * [`SimError::UnsupportedFault`] if the configuration enables the
-    ///   `delay` fault: deferring individual messages across the phase
-    ///   boundary needs per-message identity, which the count-based
-    ///   backend gives up (see
-    ///   [`PushBackend::SUPPORTS_DELAY_FAULTS`](crate::PushBackend::SUPPORTS_DELAY_FAULTS)).
-    /// * [`SimError::UnsupportedTemporal`] if the configuration enables a
-    ///   temporal feature outside
-    ///   [`TemporalCapability::AGGREGATE`](crate::TemporalCapability::AGGREGATE):
-    ///   edge churn (`rewire`) and non-`sync` clocks need per-agent
-    ///   identity. Population churn and noise schedules are supported as
-    ///   O(k) aggregate operations.
-    /// * [`SimError::InvalidTemporal`] if a scheduled ε falls outside the
-    ///   uniform noise family's domain for the configured `k`.
+    /// * The [`admit`](Self::admit) errors, before any state is built.
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
+        Self::admit(&config)?;
         if noise.num_opinions() != config.num_opinions() {
             return Err(SimError::NoiseDimensionMismatch {
                 expected: config.num_opinions(),
                 found: noise.num_opinions(),
             });
         }
-        // The whole-population reformulation is built on global agent
-        // exchangeability, which only the complete graph provides: on a
-        // sparse topology the paper's `h_j` totals do not determine any
-        // agent's inbox law.
-        if !config.topology().is_complete() {
-            return Err(SimError::UnsupportedTopology {
-                topology: config.topology().label(),
-                context: "the count-based backend".to_string(),
-            });
-        }
-        if !<Self as crate::PushBackend>::SUPPORTS_DELAY_FAULTS && config.fault().delay > 0.0 {
-            return Err(SimError::UnsupportedFault {
-                fault: config.fault().label(),
-                context: "the count-based backend".to_string(),
-            });
-        }
-        if let Some(feature) = <Self as crate::PushBackend>::TEMPORAL_CAPABILITY.first_unsupported(
-            &config.churn(),
-            &config.schedule(),
-            &config.clock(),
-        ) {
-            return Err(SimError::UnsupportedTemporal {
-                feature: feature.to_string(),
-                context: "the count-based backend".to_string(),
-            });
-        }
         let k = config.num_opinions();
-        let schedule = ScheduledNoise::build(config.schedule(), k, &noise)?;
+        let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let temporal = (churn.is_some() || schedule.is_some()).then_some(CountingTemporal {
             churn,
@@ -414,6 +373,55 @@ impl CountingNetwork {
             config,
             noise,
         })
+    }
+
+    /// The counting backend's admission rules
+    /// ([`PushBackend::admit`](crate::PushBackend::admit)). The
+    /// whole-population reformulation rests on global agent
+    /// exchangeability and gives up per-agent and per-message identity,
+    /// so it admits only configurations that need neither.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::UnsupportedTopology`] for a non-complete topology:
+    ///   on a sparse graph the paper's `h_j` totals do not determine any
+    ///   agent's inbox law.
+    /// * [`SimError::UnsupportedFault`] for the `delay` fault: deferring
+    ///   individual messages across the phase boundary needs per-message
+    ///   identity.
+    /// * [`SimError::UnsupportedTemporal`] for edge churn (`rewire`) or a
+    ///   non-`sync` clock: both need per-agent identity (materialized
+    ///   edges, per-agent clock rates). Population churn and noise
+    ///   schedules are O(k) aggregate operations and are admitted.
+    pub fn admit(config: &SimConfig) -> Result<(), SimError> {
+        const HINT: &str = "use backend = agent or auto";
+        // Edge churn first: it implies a sparse topology, and "no edges to
+        // rewire" is the more telling reason.
+        if config.churn().has_edge_churn() {
+            return Err(SimError::UnsupportedTemporal {
+                feature: "edge churn (rewire)".to_string(),
+                context: format!("counting backends, which have no materialized edges; {HINT}"),
+            });
+        }
+        if !config.topology().is_complete() {
+            return Err(SimError::UnsupportedTopology {
+                topology: config.topology().label(),
+                context: format!("counting backends, which are complete-graph-only; {HINT}"),
+            });
+        }
+        if !config.fault().aggregatable() {
+            return Err(SimError::UnsupportedFault {
+                fault: config.fault().label(),
+                context: format!("counting backends, which cannot buffer delayed messages; {HINT}"),
+            });
+        }
+        if !config.clock().is_sync() {
+            return Err(SimError::UnsupportedTemporal {
+                feature: format!("clock {}", config.clock()),
+                context: format!("counting backends, which have no per-agent clocks; {HINT}"),
+            });
+        }
+        Ok(())
     }
 
     /// The simulation configuration.
@@ -1027,6 +1035,45 @@ mod tests {
             .build()
             .unwrap();
         CountingNetwork::new(config, noise).unwrap()
+    }
+
+    #[test]
+    fn admit_gates_the_expected_features() {
+        use crate::{ClockSpec, Network, PushBackend, TopologySpec};
+        let config = |topology, churn: &str, schedule: &str, clock: &str| {
+            SimConfig::builder(64, 3)
+                .topology(topology)
+                .churn(churn.parse().unwrap())
+                .schedule(schedule.parse().unwrap())
+                .clock(clock.parse().unwrap())
+                .build()
+                .unwrap()
+        };
+        let complete = TopologySpec::Complete;
+        let regular = TopologySpec::RandomRegular { degree: 4 };
+        let population = config(complete, "leave(0.1)", "const", "sync");
+        let edge = config(regular, "rewire(0.5)", "const", "sync");
+        let skew = config(complete, "none", "const", "skew(0.1)");
+        let step = config(complete, "none", "step(0.3@1)", "sync");
+        // The agent backend admits every configuration.
+        for c in [&population, &edge, &skew, &step] {
+            assert_eq!(<Network as PushBackend>::admit(c), Ok(()));
+        }
+        // The counting backend admits the aggregate subset: population
+        // churn and noise schedules…
+        assert_eq!(CountingNetwork::admit(&population), Ok(()));
+        assert_eq!(CountingNetwork::admit(&step), Ok(()));
+        // …but neither edge churn nor clock skew (the delay fault and
+        // sparse topologies are pinned by the integration suites).
+        let rejected = |c| match CountingNetwork::admit(c) {
+            Err(SimError::UnsupportedTemporal { feature, .. }) => feature,
+            other => panic!("expected an unsupported-temporal error, got {other:?}"),
+        };
+        assert_eq!(rejected(&edge), "edge churn (rewire)");
+        assert_eq!(
+            rejected(&skew),
+            format!("clock {}", ClockSpec::Skew { miss: 0.1 })
+        );
     }
 
     #[test]

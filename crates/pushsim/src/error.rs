@@ -57,7 +57,8 @@ pub enum SimError {
     UnsupportedTopology {
         /// The offending topology's label.
         topology: String,
-        /// Which topology-restricted feature was combined with it.
+        /// Which topology-restricted feature was combined with it, and
+        /// what to use instead.
         context: String,
     },
     /// A fault spec's parameters are infeasible (a probability outside
@@ -73,7 +74,7 @@ pub enum SimError {
     UnsupportedFault {
         /// The offending fault spec's label.
         fault: String,
-        /// Which feature it was combined with.
+        /// Which feature it was combined with, and what to use instead.
         context: String,
     },
     /// A temporal spec's parameters are infeasible (a rate outside its
@@ -88,11 +89,12 @@ pub enum SimError {
     /// not compose with crash/Byzantine/delay faults, edge churn
     /// (`rewire`) needs a re-sampleable randomized topology on the agent
     /// backend, and clock skew needs the agent backend (see
-    /// [`TemporalCapability`](crate::TemporalCapability)).
+    /// [`PushBackend::admit`](crate::PushBackend::admit)).
     UnsupportedTemporal {
         /// The offending temporal feature's label.
         feature: String,
-        /// Which configuration it was combined with.
+        /// Which configuration it was combined with, and what to use
+        /// instead.
         context: String,
     },
 }
@@ -130,28 +132,21 @@ impl fmt::Display for SimError {
             SimError::InvalidTopology { reason } => {
                 write!(f, "invalid topology: {reason}")
             }
-            SimError::UnsupportedTopology { topology, context } => write!(
-                f,
-                "topology {topology} is not supported by {context} \
-                 (non-complete topologies run on the agent backend with exact delivery)"
-            ),
+            SimError::UnsupportedTopology { topology, context } => {
+                write!(f, "topology {topology} is not supported by {context}")
+            }
             SimError::InvalidFault { reason } => {
                 write!(f, "invalid fault spec: {reason}")
             }
-            SimError::UnsupportedFault { fault, context } => write!(
-                f,
-                "fault spec {fault} is not supported by {context} \
-                 (faults are complete-graph-only; delayed delivery needs the agent backend)"
-            ),
+            SimError::UnsupportedFault { fault, context } => {
+                write!(f, "fault spec {fault} is not supported by {context}")
+            }
             SimError::InvalidTemporal { reason } => {
                 write!(f, "invalid temporal spec: {reason}")
             }
-            SimError::UnsupportedTemporal { feature, context } => write!(
-                f,
-                "{feature} is not supported by {context} \
-                 (population churn is complete-graph-only and excludes crash/byz/delay faults; \
-                 edge churn and clock skew need the agent backend)"
-            ),
+            SimError::UnsupportedTemporal { feature, context } => {
+                write!(f, "{feature} is not supported by {context}")
+            }
         }
     }
 }

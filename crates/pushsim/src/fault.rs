@@ -35,10 +35,10 @@
 //! subset: drop/dup as binomial thinning/inflation of the post-noise
 //! per-opinion counts, crash/Byzantine as count transfers between pools.
 //! Delayed delivery needs per-message identity across the phase boundary
-//! and is agent-backend-only (see
-//! [`PushBackend::SUPPORTS_DELAY_FAULTS`](crate::PushBackend::SUPPORTS_DELAY_FAULTS)).
-//! Both boundaries are enforced at construction time
-//! ([`SimError::UnsupportedFault`]).
+//! and is agent-backend-only. The first boundary is enforced by
+//! [`SimConfigBuilder::build`](crate::SimConfigBuilder::build), the second
+//! by [`PushBackend::admit`](crate::PushBackend::admit); both fail with
+//! [`SimError::UnsupportedFault`].
 //!
 //! All fault randomness is drawn from a **dedicated seed-derived RNG**
 //! (`seed ^ FAULT_SEED_SALT`), so an all-disabled spec leaves every

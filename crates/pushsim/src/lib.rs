@@ -115,15 +115,25 @@
 //! resamples a `regular(d)`/`er(p)` topology between phases); a
 //! [`NoiseSchedule`] moves ε over phases (`step`/`burst`/`ramp`); a
 //! [`ClockSpec`] desynchronizes the rounds themselves (`drift(ppm)` /
-//! `skew(p)` per-agent participation). What each backend supports is a
-//! static [`TemporalCapability`] — the agent backend everything, the
-//! counting backend the aggregate subset (population churn and schedules;
-//! its rounds are synchronous by construction) — and automatic backend
-//! selection consults it. Like faults, all temporal randomness comes from
-//! dedicated seed-salted RNGs, so `ChurnSpec::none()` +
-//! `NoiseSchedule::Const` + `ClockSpec::Sync` (the defaults) are
-//! **bit-for-bit** the static simulator (pinned by
+//! `skew(p)` per-agent participation). The agent backend supports every
+//! axis, the counting backend the aggregate subset (population churn and
+//! schedules; its rounds are synchronous by construction). Like faults,
+//! all temporal randomness comes from dedicated seed-salted RNGs, so
+//! `ChurnSpec::none()` + `NoiseSchedule::Const` + `ClockSpec::Sync` (the
+//! defaults) are **bit-for-bit** the static simulator (pinned by
 //! `tests/temporal_network.rs`).
+//!
+//! ## Admission
+//!
+//! Each rule about which configurations run lives in one place.
+//! [`SimConfigBuilder::build`] holds the backend-independent rules:
+//! parameter ranges, sparse topologies with exact delivery only, faults
+//! and population churn on the complete graph only, scheduled ε inside
+//! the uniform family's domain. [`PushBackend::admit`] holds each
+//! backend's own rules: the counting backend needs the complete graph,
+//! no `delay` fault, no `rewire` churn and the `sync` clock. Both
+//! constructors call `admit` first, and automatic backend selection asks
+//! it too.
 //!
 //! Protocols built on top of this crate (see the `plurality-core` crate)
 //! interact with the network through *phases*: they call
@@ -183,7 +193,5 @@ pub use fault::{ByzantineFault, CrashFault, FaultSpec};
 pub use inbox::Inboxes;
 pub use network::{Network, RoundReport};
 pub use opinion::{NodeState, Opinion};
-pub use temporal::{
-    BurstChurn, ChurnSpec, ClockSpec, NoiseSchedule, PopulationDelta, TemporalCapability,
-};
+pub use temporal::{BurstChurn, ChurnSpec, ClockSpec, NoiseSchedule, PopulationDelta};
 pub use topology::{Topology, TopologySpec};

@@ -192,34 +192,17 @@ pub(crate) struct ScheduledNoise {
 }
 
 impl ScheduledNoise {
-    /// Validates and materializes a non-constant schedule for a system
-    /// with `k` opinions; `Ok(None)` for the constant schedule.
+    /// Materializes a non-constant schedule; `None` for the constant
+    /// schedule. Every scheduled ε is inside the uniform family's domain
+    /// for the configured `k` ([`SimConfigBuilder::build`] checks it), so
+    /// phase-boundary swaps can never fail.
     ///
-    /// # Errors
-    ///
-    /// [`SimError::InvalidTemporal`] if a scheduled ε falls outside the
-    /// uniform noise family's k-dependent domain `(0, 1 − 1/k]` —
-    /// checked here, once, so phase-boundary swaps can never fail.
-    pub(crate) fn build(
-        schedule: NoiseSchedule,
-        k: usize,
-        base: &NoiseMatrix,
-    ) -> Result<Option<Self>, SimError> {
-        if schedule.is_const() {
-            return Ok(None);
-        }
-        for eps in schedule.scheduled_epsilons() {
-            NoiseMatrix::uniform(k, eps).map_err(|_| SimError::InvalidTemporal {
-                reason: format!(
-                    "scheduled epsilon {eps} is outside the uniform noise family's \
-                     domain (0, 1 - 1/k] for k = {k}"
-                ),
-            })?;
-        }
-        Ok(Some(Self {
+    /// [`SimConfigBuilder::build`]: crate::SimConfigBuilder::build
+    pub(crate) fn build(schedule: NoiseSchedule, base: &NoiseMatrix) -> Option<Self> {
+        (!schedule.is_const()).then(|| Self {
             schedule,
             base: base.clone(),
-        }))
+        })
     }
 
     /// The noise matrix phase `phase` runs under: the scheduled uniform
@@ -227,7 +210,7 @@ impl ScheduledNoise {
     pub(crate) fn matrix_for(&self, phase: u64, k: usize) -> NoiseMatrix {
         match self.schedule.epsilon_at(phase) {
             Some(eps) => NoiseMatrix::uniform(k, eps)
-                .expect("scheduled epsilons are validated at construction"),
+                .expect("SimConfigBuilder::build validates scheduled epsilons"),
             None => self.base.clone(),
         }
     }
@@ -334,7 +317,11 @@ impl Network {
     ///   defined over exactly `config.num_opinions()` opinions.
     /// * [`SimError::InvalidTopology`] if the configured topology cannot
     ///   be realized (see [`Topology::build`]).
+    ///
+    /// The agent backend admits every [`SimConfig`]
+    /// ([`PushBackend::admit`](crate::PushBackend::admit)).
     pub fn new(config: SimConfig, noise: NoiseMatrix) -> Result<Self, SimError> {
+        <Self as crate::PushBackend>::admit(&config)?;
         if noise.num_opinions() != config.num_opinions() {
             return Err(SimError::NoiseDimensionMismatch {
                 expected: config.num_opinions(),
@@ -350,7 +337,7 @@ impl Network {
         let topology = Topology::build(config.topology(), n, &mut topology_rng)?;
         let faults = (!config.fault().is_none())
             .then(|| AgentFaults::new(config.fault(), config.seed(), n, k));
-        let schedule = ScheduledNoise::build(config.schedule(), k, &noise)?;
+        let schedule = ScheduledNoise::build(config.schedule(), &noise);
         let churn = ChurnState::build(config.churn(), config.seed());
         let clock = (!config.clock().is_sync())
             .then(|| AgentClock::new(config.clock(), config.seed(), n));

@@ -45,15 +45,14 @@
 //!
 //! ## Support boundaries
 //!
-//! Which temporal features a backend admits is a static capability
-//! ([`TemporalCapability`] on
-//! [`PushBackend`](crate::PushBackend::TEMPORAL_CAPABILITY)): the
-//! agent-level backend supports everything; the count-based backend
-//! supports population churn and noise schedules as O(k) aggregate
-//! operations and rejects edge churn and clock skew (there are no
-//! per-agent clocks or materialized edges to skew or rewire).
-//! Cross-feature boundaries are enforced when the configuration is
-//! built ([`SimConfig::builder`](crate::SimConfig)): population churn is
+//! Which temporal features a backend admits is decided by
+//! [`PushBackend::admit`](crate::PushBackend::admit): the agent-level
+//! backend supports everything; the count-based backend supports
+//! population churn and noise schedules as O(k) aggregate operations and
+//! rejects edge churn and clock skew (there are no per-agent clocks or
+//! materialized edges to skew or rewire). Cross-feature boundaries are
+//! enforced when the configuration is built
+//! ([`SimConfigBuilder::build`](crate::SimConfigBuilder::build)): population churn is
 //! complete-graph-only and does not compose with crash/Byzantine/delay
 //! faults (identity bookkeeping across arrivals and departures would be
 //! ambiguous), edge churn requires a re-sampleable randomized topology
@@ -619,8 +618,9 @@ impl NoiseSchedule {
     ///
     /// [`SimError::InvalidTemporal`] if a scheduled ε is non-finite or
     /// outside `(0, 1)`, or a window/ramp length is zero. The uniform
-    /// family's tighter upper bound `ε ≤ 1 − 1/k` is checked when the
-    /// backend is built (where `k` is known).
+    /// family's tighter upper bound `ε ≤ 1 − 1/k` is checked by
+    /// [`SimConfigBuilder::build`](crate::SimConfigBuilder::build), where
+    /// `k` is known.
     pub fn check(&self) -> Result<(), SimError> {
         let fail = |reason: String| Err(SimError::InvalidTemporal { reason });
         for epsilon in self.scheduled_epsilons() {
@@ -783,7 +783,7 @@ impl FromStr for NoiseSchedule {
 /// (`CLOCK_SEED_SALT`); `sync` draws nothing and perturbs nothing.
 /// Only the agent backend supports non-`sync` clocks — the count-based
 /// backends have no per-agent identity to attach a clock to
-/// ([`TemporalCapability::clock`]).
+/// ([`PushBackend::admit`](crate::PushBackend::admit)).
 #[derive(Debug, Clone, Copy, Default)]
 #[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ClockSpec {
@@ -932,69 +932,6 @@ impl FromStr for ClockSpec {
                 "unknown clock {s:?} (expected sync, drift(ppm) or skew(p))"
             ))
         }
-    }
-}
-
-/// Which temporal features a backend supports, as a static capability
-/// ([`PushBackend::TEMPORAL_CAPABILITY`](crate::PushBackend::TEMPORAL_CAPABILITY)):
-/// automatic backend selection consults it, and each backend's constructor
-/// enforces it ([`SimError::UnsupportedTemporal`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TemporalCapability {
-    /// Agents may join and leave at phase boundaries (`join`, `leave`,
-    /// `burst`). The count-based backend realizes this as O(k) count
-    /// transfers.
-    pub population_churn: bool,
-    /// The sparse topology may be resampled at phase boundaries
-    /// (`rewire`). Needs a materialized graph — agent backend only.
-    pub edge_churn: bool,
-    /// The noise matrix may be swapped per phase ([`NoiseSchedule`]).
-    pub noise_schedule: bool,
-    /// Agents may have skewed clocks ([`ClockSpec`]). Needs per-agent
-    /// identity — agent backend only.
-    pub clock: bool,
-}
-
-impl TemporalCapability {
-    /// Everything is supported (the agent-level backend).
-    pub const FULL: TemporalCapability = TemporalCapability {
-        population_churn: true,
-        edge_churn: true,
-        noise_schedule: true,
-        clock: true,
-    };
-
-    /// The aggregatable subset (the count-based backend): population
-    /// churn and noise schedules, no edge churn, no clock skew.
-    pub const AGGREGATE: TemporalCapability = TemporalCapability {
-        population_churn: true,
-        edge_churn: false,
-        noise_schedule: true,
-        clock: false,
-    };
-
-    /// The first enabled temporal feature of `(churn, schedule, clock)`
-    /// this capability does **not** support, as a short feature label —
-    /// or `None` when the combination is admitted.
-    pub fn first_unsupported(
-        &self,
-        churn: &ChurnSpec,
-        schedule: &NoiseSchedule,
-        clock: &ClockSpec,
-    ) -> Option<&'static str> {
-        if churn.has_population_churn() && !self.population_churn {
-            return Some("population churn");
-        }
-        if churn.has_edge_churn() && !self.edge_churn {
-            return Some("edge churn (rewire)");
-        }
-        if !schedule.is_const() && !self.noise_schedule {
-            return Some("noise schedules");
-        }
-        if !clock.is_sync() && !self.clock {
-            return Some("clock skew");
-        }
-        None
     }
 }
 
@@ -1338,50 +1275,5 @@ mod tests {
         assert!(ClockSpec::Skew { miss: 1.0 }.check().is_err());
         assert!(ClockSpec::Drift { ppm: 100.0 }.check().is_ok());
         assert!(ClockSpec::Skew { miss: 0.5 }.check().is_ok());
-    }
-
-    #[test]
-    fn capabilities_gate_the_expected_features() {
-        let full = TemporalCapability::FULL;
-        let aggregate = TemporalCapability::AGGREGATE;
-        let sync = ClockSpec::Sync;
-        let constant = NoiseSchedule::Const;
-        let population = ChurnSpec {
-            leave: 0.1,
-            ..ChurnSpec::default()
-        };
-        let edge = ChurnSpec {
-            rewire: 0.5,
-            ..ChurnSpec::default()
-        };
-        assert_eq!(full.first_unsupported(&population, &constant, &sync), None);
-        assert_eq!(full.first_unsupported(&edge, &constant, &sync), None);
-        assert_eq!(
-            aggregate.first_unsupported(&population, &constant, &sync),
-            None
-        );
-        assert_eq!(
-            aggregate.first_unsupported(&edge, &constant, &sync),
-            Some("edge churn (rewire)")
-        );
-        assert_eq!(
-            aggregate.first_unsupported(
-                &ChurnSpec::none(),
-                &constant,
-                &ClockSpec::Skew { miss: 0.1 }
-            ),
-            Some("clock skew")
-        );
-        assert_eq!(
-            aggregate.first_unsupported(
-                &ChurnSpec::none(),
-                &NoiseSchedule::Step {
-                    epsilon: 0.3,
-                    from_phase: 1
-                },
-                &sync
-            ),
-            None
-        );
     }
 }

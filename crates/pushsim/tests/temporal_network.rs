@@ -200,16 +200,16 @@ fn enabled_temporal_perturbs_the_evolution_deterministically() {
 
 #[test]
 fn temporal_capabilities_match_the_constructors() {
-    const {
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.population_churn);
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.edge_churn);
-        assert!(<Network as PushBackend>::TEMPORAL_CAPABILITY.clock);
-        assert!(<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.population_churn);
-        assert!(<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.noise_schedule);
-        assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.edge_churn);
-        assert!(!<CountingNetwork as PushBackend>::TEMPORAL_CAPABILITY.clock);
-    }
     let noise = NoiseMatrix::uniform(3, 0.2).unwrap();
+
+    // Population churn and noise schedules are aggregate operations.
+    let aggregate = Axes {
+        churn: "leave(0.1)",
+        schedule: "step(0.3@1)",
+        ..OFF
+    };
+    let aggregate = config(DeliverySemantics::Poissonized, Some(aggregate));
+    assert!(CountingNetwork::new(aggregate, noise.clone()).is_ok());
 
     // Clock skew needs per-agent identity: rejected by the count-level
     // backend, accepted by the agent backend.
@@ -224,6 +224,7 @@ fn temporal_capabilities_match_the_constructors() {
         CountingNetwork::new(skewed.clone(), noise.clone()),
         Err(pushsim::SimError::UnsupportedTemporal { .. })
     ));
+    assert_eq!(<Network as PushBackend>::admit(&skewed), Ok(()));
     assert!(Network::new(skewed, noise.clone()).is_ok());
 
     // Clocks compose with sparse topologies on the agent backend (which
@@ -243,6 +244,10 @@ fn temporal_capabilities_match_the_constructors() {
         .churn("rewire(0.5)".parse().unwrap())
         .build()
         .unwrap();
+    assert!(matches!(
+        CountingNetwork::new(rewired.clone(), noise.clone()),
+        Err(pushsim::SimError::UnsupportedTemporal { .. })
+    ));
     assert!(Network::new(rewired, noise).is_ok());
 }
 

@@ -128,17 +128,6 @@ impl LoadReport {
             self.latencies.last().copied().unwrap_or(Duration::ZERO).as_secs_f64() * 1e3,
         )
     }
-
-    /// A BENCH_pushsim.json-shaped entry: mean latency as
-    /// `ns_per_iter`, completed requests as `iters`.
-    pub fn to_bench_entry(&self, name: &str) -> String {
-        format!(
-            "{{\"name\": \"{}\", \"ns_per_iter\": {:.1}, \"iters\": {}}}",
-            http::json_escape(name),
-            self.mean_latency().as_secs_f64() * 1e9,
-            self.ok
-        )
-    }
 }
 
 fn extract_id(body: &str) -> Option<u64> {
