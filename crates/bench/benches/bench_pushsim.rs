@@ -6,12 +6,15 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gossip_analysis::observe::TrajectoryRecorder;
+use noisy_bench::biased_counts;
 use noisy_channel::NoiseMatrix;
 use plurality_core::observe::{NoObserver, Observer, PhaseSnapshot};
 use pushsim::{
     CountingNetwork, DeliverySemantics, Network, Opinion, PhaseObservation, PushBackend,
     SimConfig, TopologySpec,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -564,6 +567,45 @@ fn bench_temporal_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// The layer that dominates counting-backend runs: one
+/// `resolve_sample_majority` (Stage 2's decision operator, ℓ = 129) at
+/// n = 10⁶ against the tally of a finished Stage 2 phase — up to 65 536
+/// multinomial compositions of ℓ messages, each with k − 1 conditional
+/// binomials. Every iteration resolves a clone of the same post-phase
+/// network (a clone is O(k)), so every sample sees the same weights.
+fn bench_counting_majority(c: &mut Criterion) {
+    let n = 1_000_000usize;
+    let sample_size = 129u64;
+    let mut group = c.benchmark_group("pushsim_counting_majority");
+    group.sample_size(10);
+    group.measurement_time(Duration::from_secs(2));
+    for k in [2usize, 8, 32, 64] {
+        let noise = NoiseMatrix::uniform(k, 0.25).expect("valid noise");
+        let config = SimConfig::builder(n, k)
+            .seed(8)
+            .delivery(DeliverySemantics::Poissonized)
+            .build()
+            .expect("valid config");
+        let mut net = CountingNetwork::new(config, noise).expect("valid network");
+        net.seed_counts(&biased_counts(n, k, 0.2))
+            .expect("valid counts");
+        net.begin_phase();
+        for _ in 0..2 * sample_size {
+            net.push_round_all_opinionated();
+        }
+        net.end_phase();
+        let mut rng = StdRng::seed_from_u64(9);
+        group.bench_function(format!("k{k}"), |b| {
+            b.iter(|| {
+                let mut resolved = net.clone();
+                resolved.resolve_sample_majority(sample_size, &mut rng);
+                black_box(resolved.undecided())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn configured() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -578,6 +620,7 @@ criterion_group! {
               bench_end_phase_batched, bench_backend_scaling,
               bench_generic_vs_concrete_dispatch, bench_observer_dispatch,
               bench_topology_round, bench_topology_phase_scaling,
-              bench_fault_overhead, bench_temporal_overhead
+              bench_fault_overhead, bench_temporal_overhead,
+              bench_counting_majority
 }
 criterion_main!(benches);

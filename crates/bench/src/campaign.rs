@@ -25,8 +25,8 @@
 //! convergence time instead of the fixed schedule length.
 
 use crate::runner::{
-    axis_cells, axis_columns, cell_label, cell_params, expand_grid, resolve_counts, GridPoint,
-    ProtocolRun,
+    axis_cells, axis_columns, cell_label, cell_noise, cell_params, expand_grid, resolve_counts,
+    GridPoint, ProtocolRun,
 };
 use crate::spec::{ScenarioKind, ScenarioSpec, SpecError};
 use gossip_analysis::observe::TrajectoryRecorder;
@@ -360,15 +360,9 @@ fn prepare(spec: &ScenarioSpec, options: &CampaignOptions) -> Result<Vec<CellPla
     if options.seeds == 0 {
         return Err(SpecError::Invalid("campaigns need at least one seed".into()));
     }
-    let eps_swept = !spec.sweep.eps.is_empty();
     let mut plans = Vec::new();
     for point in expand_grid(spec) {
-        let noise_spec = if eps_swept {
-            spec.noise.with_epsilon(point.eps)
-        } else {
-            spec.noise.clone()
-        };
-        let noise = noise_spec.build(point.k)?;
+        let noise = cell_noise(spec, &point).build(point.k)?;
         let params = cell_params(spec, &point, spec.seed)?;
         let counts = match &spec.kind {
             ScenarioKind::PluralityConsensus { init } | ScenarioKind::Stage2Only { init } => {

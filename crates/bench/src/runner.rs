@@ -42,7 +42,7 @@ use gossip_analysis::observe::{
 use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
-use noisy_channel::NoiseMatrix;
+use noisy_channel::{NoiseMatrix, NoiseSpec};
 use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
 use plurality_core::{bounds, ExecutionBackend, ProtocolParams, TwoStageProtocol};
@@ -517,10 +517,9 @@ impl Runner {
         mut stream: Option<&mut W>,
     ) -> Result<RunReport, SpecError> {
         let spec = &self.spec;
-        let eps_swept = !spec.sweep.eps.is_empty();
         let mut points = Vec::new();
         for point in expand_grid(spec) {
-            let summary = self.run_point(point, eps_swept, stream.as_deref_mut())?;
+            let summary = self.run_point(point, stream.as_deref_mut())?;
             let result = PointResult { point, summary };
             if let Some(out) = stream.as_mut() {
                 // Trajectory rows already streamed live from inside the run.
@@ -539,7 +538,6 @@ impl Runner {
     fn run_point<W: Write + ?Sized>(
         &self,
         point: GridPoint,
-        eps_swept: bool,
         stream: Option<&mut W>,
     ) -> Result<PointSummary, SpecError> {
         let spec = &self.spec;
@@ -551,12 +549,7 @@ impl Runner {
         }
 
         let params = cell_params(spec, &point, spec.seed)?;
-        let noise_spec = if eps_swept {
-            spec.noise.with_epsilon(point.eps)
-        } else {
-            spec.noise.clone()
-        };
-        let noise = noise_spec.build(point.k)?;
+        let noise = cell_noise(spec, &point).build(point.k)?;
 
         if let ScenarioKind::PhaseStats { rounds, init } = &spec.kind {
             let counts = resolve_counts(init, point);
@@ -1088,6 +1081,17 @@ pub fn cell_params(
         .build()?)
 }
 
+/// The noise family of one grid cell: the spec's, re-parameterized by the
+/// cell's ε when ε is swept. Shared by the runner, the campaign engine,
+/// the scenario service and [`ScenarioSpec::validate`].
+pub fn cell_noise(spec: &ScenarioSpec, point: &GridPoint) -> NoiseSpec {
+    if spec.sweep.eps.is_empty() {
+        spec.noise.clone()
+    } else {
+        spec.noise.with_epsilon(point.eps)
+    }
+}
+
 /// A short human label of one cell ("k=3 fault=drop(0.2)", or "cell 0"
 /// when nothing is swept).
 pub(crate) fn cell_label(spec: &ScenarioSpec, point: &GridPoint) -> String {
@@ -1257,8 +1261,8 @@ mod tests {
             Err(crate::spec::SpecError::Invalid(_))
         ));
 
-        // Counts that pass static validation but violate the protocol's
-        // n-dependent rules fail as a recoverable error at run time.
+        // Counts that violate the protocol's n-dependent rules are
+        // rejected per cell at validation, before anything runs.
         for kind in [
             ScenarioKind::PluralityConsensus {
                 init: InitSpec::Counts(vec![900, 100]),
@@ -1273,10 +1277,14 @@ mod tests {
             },
         ] {
             let spec = quick_spec(kind); // n = 400 < 900 + 100
-            let result = Runner::new(spec).unwrap().run();
+            let result = Runner::new(spec);
             assert!(
-                matches!(result, Err(crate::spec::SpecError::Protocol(_))),
-                "oversized counts must fail cleanly"
+                matches!(
+                    &result,
+                    Err(crate::spec::SpecError::Invalid(e)) if e.contains("counts sum to 1000")
+                ),
+                "oversized counts must fail cleanly at validation, got {:?}",
+                result.err()
             );
         }
     }

@@ -48,9 +48,7 @@ pub fn cell_spec(spec: &ScenarioSpec, point: &GridPoint) -> ScenarioSpec {
     cell.k = point.k;
     cell.n = point.n;
     cell.epsilon = point.eps;
-    if !spec.sweep.eps.is_empty() {
-        cell.noise = spec.noise.with_epsilon(point.eps);
-    }
+    cell.noise = runner::cell_noise(spec, point);
     cell.delivery = point.delivery;
     cell.topology = point.topology;
     cell.fault = point.fault;

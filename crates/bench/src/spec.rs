@@ -653,12 +653,14 @@ impl ScenarioSpec {
     /// that exist only at spec level (axis/kind applicability, metric
     /// support, non-degenerate trials, a crash the stop condition can
     /// reach, a ramp schedule without an ε sweep), then each simulated
-    /// cell's parameters and simulator configuration, admitted against
-    /// the backend the cell runs on. Admission itself is the simulator's:
+    /// cell's parameters, noise family, initial counts and simulator
+    /// configuration, admitted against the backend the cell runs on.
+    /// Admission itself is the simulator's:
     /// [`ProtocolParams`](plurality_core::ProtocolParams) validation,
+    /// [`NoiseSpec::check`],
+    /// [`ProtocolParams::validate_initial_counts`](plurality_core::ProtocolParams::validate_initial_counts),
     /// [`SimConfigBuilder::build`](pushsim::SimConfigBuilder::build) and
-    /// [`PushBackend::admit`]. Noise-family parameter ranges are checked
-    /// when the run builds its noise matrices.
+    /// [`PushBackend::admit`].
     ///
     /// # Errors
     ///
@@ -736,10 +738,11 @@ impl ScenarioSpec {
         self.validate_cells()
     }
 
-    /// Admits every simulated grid cell: its protocol parameters, its
-    /// simulator configuration, and that configuration against the backend
-    /// the cell runs on (`phase` cells always run agent-level). Builds no
-    /// noise matrix, graph or network.
+    /// Admits every simulated grid cell: its protocol parameters, its noise
+    /// family's parameter range, the initial counts of the kinds that
+    /// validate them at run time, its simulator configuration, and that
+    /// configuration against the backend the cell runs on (`phase` cells
+    /// always run agent-level). Builds no noise matrix, graph or network.
     fn validate_cells(&self) -> Result<(), SpecError> {
         if !self.kind.simulates_network() {
             return Ok(());
@@ -748,10 +751,19 @@ impl ScenarioSpec {
             let invalid = |e: &dyn fmt::Display| {
                 SpecError::Invalid(format!("{}: {e}", runner::cell_label(self, &point)))
             };
-            let config = runner::cell_params(self, &point, self.seed)
-                .map_err(|e| invalid(&e))?
-                .sim_config()
+            let params = runner::cell_params(self, &point, self.seed).map_err(|e| invalid(&e))?;
+            runner::cell_noise(self, &point)
+                .check(point.k)
                 .map_err(|e| invalid(&e))?;
+            if let ScenarioKind::PluralityConsensus { init }
+            | ScenarioKind::Stage2Only { init }
+            | ScenarioKind::DynamicsRule { init, .. } = &self.kind
+            {
+                params
+                    .validate_initial_counts(&runner::resolve_counts(init, point))
+                    .map_err(|e| invalid(&e))?;
+            }
+            let config = params.sim_config().map_err(|e| invalid(&e))?;
             let backend = match self.kind {
                 ScenarioKind::PhaseStats { .. } => ExecutionBackend::Agent,
                 _ => self.backend.resolve(&config),

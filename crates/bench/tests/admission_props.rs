@@ -1,10 +1,12 @@
 //! Validation and construction agree: a generated plurality spec passes
 //! [`ScenarioSpec::validate`] if and only if every grid cell builds its
-//! protocol and the network of the backend the cell resolves to.
+//! noise matrix, its protocol and the network of the backend the cell
+//! resolves to, and seeds that network with its initial counts.
 
-use noisy_bench::runner::{cell_params, expand_grid};
+use noisy_bench::biased_counts;
+use noisy_bench::runner::{cell_noise, cell_params, expand_grid};
 use noisy_bench::spec::{InitSpec, ScenarioKind, ScenarioSpec};
-use noisy_channel::NoiseMatrix;
+use noisy_channel::NoiseSpec;
 use plurality_core::{ExecutionBackend, TwoStageProtocol};
 use proptest::prelude::*;
 use proptest::prop::sample::select;
@@ -40,12 +42,36 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         select(vec!["const", "step(0.4@2)", "step(0.6@2)"]),
         select(vec!["sync", "drift(20000)"]),
     );
-    (shape, axes).prop_map(
-        |((n, k, delivery, topology, backend), (fault, churn, schedule, clock))| {
-            let kind = ScenarioKind::PluralityConsensus {
-                init: InitSpec::Biased { bias: 0.2 },
+    // ε beyond the uniform family's 1 − 1/k bound (base or swept), and
+    // explicit counts that outgrow a swept n.
+    let inputs = (
+        select(vec![0.2, 0.6, 0.9]),
+        prop::bool::ANY,
+        prop::bool::ANY,
+        prop::bool::ANY,
+    );
+    (shape, axes, inputs).prop_map(
+        |(
+            (n, k, delivery, topology, backend),
+            (fault, churn, schedule, clock),
+            (epsilon, sweep_eps, explicit_counts, sweep_n),
+        )| {
+            let init = if explicit_counts {
+                InitSpec::Counts([9, 4, 2][..k].to_vec())
+            } else {
+                InitSpec::Biased { bias: 0.2 }
             };
+            let kind = ScenarioKind::PluralityConsensus { init };
             let mut spec = ScenarioSpec::new(kind, n, k);
+            if sweep_eps {
+                spec.sweep.eps = vec![0.2, epsilon];
+            } else {
+                spec.epsilon = epsilon;
+                spec.noise = NoiseSpec::Uniform { epsilon };
+            }
+            if sweep_n {
+                spec.sweep.n = vec![64, 8];
+            }
             spec.delivery = delivery;
             spec.topology = topology;
             spec.backend = backend;
@@ -62,17 +88,26 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
 fn construct_every_cell(spec: &ScenarioSpec) -> Result<(), String> {
     for point in expand_grid(spec) {
         let params = cell_params(spec, &point, spec.seed).map_err(|e| e.to_string())?;
-        let noise = NoiseMatrix::uniform(point.k, point.eps).map_err(|e| e.to_string())?;
+        let noise = cell_noise(spec, &point)
+            .build(point.k)
+            .map_err(|e| e.to_string())?;
         let protocol =
             TwoStageProtocol::new(params.clone(), noise.clone()).map_err(|e| e.to_string())?;
+        let counts = match spec.kind.init() {
+            Some(InitSpec::Counts(counts)) => counts.clone(),
+            _ => biased_counts(point.n, point.k, 0.2),
+        };
+        protocol
+            .validate_initial_counts(&counts)
+            .map_err(|e| e.to_string())?;
         let config = params.sim_config().map_err(|e| e.to_string())?;
         match protocol.resolve(spec.backend) {
-            ExecutionBackend::Counting => {
-                CountingNetwork::new(config, noise).map_err(|e| e.to_string())?;
-            }
-            _ => {
-                Network::new(config, noise).map_err(|e| e.to_string())?;
-            }
+            ExecutionBackend::Counting => CountingNetwork::new(config, noise)
+                .and_then(|mut net| net.seed_counts(&counts))
+                .map_err(|e| e.to_string())?,
+            _ => Network::new(config, noise)
+                .and_then(|mut net| net.seed_counts(&counts))
+                .map_err(|e| e.to_string())?,
         }
     }
     Ok(())

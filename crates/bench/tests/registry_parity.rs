@@ -19,13 +19,23 @@
 //!
 //! Running the registry specs through the generic [`Runner`] must produce
 //! identical rows in both cases.
+//!
+//! Both of those resolve to the agent backend. The counting backend's
+//! Stage 2 (its sample-majority operator, `pushsim::counting`) is pinned by
+//! `fixtures/counting_stage2_trajectory.jsonl`: the streamed trajectory of
+//! `fixtures/counting_stage2_trajectory.spec` (k = 2, 8, 32, 64 at
+//! n = 10⁵), captured before the operator's sampler setup was hoisted out
+//! of its per-draw loop.
 
 use noisy_bench::registry;
 use noisy_bench::runner::Runner;
+use noisy_bench::spec::ScenarioSpec;
 use noisy_bench::Scale;
 
 const F2_PRE_REDESIGN: &str = include_str!("fixtures/f2_quick_pre_redesign.jsonl");
 const F5_PRE_REDESIGN: &str = include_str!("fixtures/f5_quick_pre_redesign.jsonl");
+const COUNTING_STAGE2_SPEC: &str = include_str!("fixtures/counting_stage2_trajectory.spec");
+const COUNTING_STAGE2_TRAJECTORY: &str = include_str!("fixtures/counting_stage2_trajectory.jsonl");
 
 fn registry_json(name: &str) -> String {
     let experiment = registry::find(name).expect("experiment is registered");
@@ -62,4 +72,16 @@ fn f5_streamed_output_matches_the_pinned_fixture_too() {
     let mut out = Vec::new();
     Runner::new(spec).unwrap().run_streamed(&mut out).unwrap();
     assert_eq!(String::from_utf8(out).unwrap(), F5_PRE_REDESIGN);
+}
+
+#[test]
+fn counting_stage2_trajectory_matches_the_pinned_fixture() {
+    let spec = ScenarioSpec::from_text(COUNTING_STAGE2_SPEC).expect("the fixture spec parses");
+    let mut out = Vec::new();
+    Runner::new(spec).unwrap().run_streamed(&mut out).unwrap();
+    assert_eq!(
+        String::from_utf8(out).unwrap(),
+        COUNTING_STAGE2_TRAJECTORY,
+        "the counting backend's Stage 2 must reproduce the pinned trajectory bit for bit"
+    );
 }

@@ -2,7 +2,10 @@
 //! [`ScenarioSpec`] serializes to text that parses back to an equal spec,
 //! and the serialization is canonical.
 
-use noisy_bench::spec::{InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, StopSpec, SweepAxes};
+use noisy_bench::runner::{cell_noise, expand_grid};
+use noisy_bench::spec::{
+    InitSpec, Metric, ObserveMode, ScenarioKind, ScenarioSpec, StopSpec, SweepAxes,
+};
 use noisy_channel::NoiseSpec;
 use opinion_dynamics::RuleSpec;
 use plurality_core::ExecutionBackend;
@@ -404,6 +407,29 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 spec.metrics = metrics;
             }
             spec.stop = stop;
+            // Every cell's noise family must admit the cell's k and ε;
+            // where the generated family does not, use one that ignores ε
+            // and admits every k ≥ 2.
+            if expand_grid(&spec)
+                .iter()
+                .any(|point| cell_noise(&spec, point).check(point.k).is_err())
+            {
+                spec.noise = NoiseSpec::Reset {
+                    lambda: 0.2,
+                    target: 0,
+                };
+            }
+            // Explicit counts must fit in every cell's network.
+            let counts_total = match spec.kind.init() {
+                Some(InitSpec::Counts(counts)) => Some(counts.iter().sum::<usize>()),
+                _ => None,
+            };
+            if let Some(total) = counts_total {
+                spec.n = spec.n.max(total);
+                for n in &mut spec.sweep.n {
+                    *n = (*n).max(total);
+                }
+            }
             // Exercise non-default constants while keeping the
             // phi > beta > s ordering the params builder validates.
             let (s, gap) = consts;
@@ -624,20 +650,12 @@ fn a_sweep_with_an_unrunnable_cell_exits_2_before_streaming() {
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/sweep_n_one.spec"
     );
-    let err = load_error(&std::fs::read_to_string(fixture).unwrap());
-    assert!(
-        err.contains("n=1"),
-        "the error must name the cell, got: {err}"
+    assert_rejected_before_streaming(
+        fixture,
+        &std::fs::read_to_string(fixture).unwrap(),
+        "n=1",
+        "at least 2 nodes",
     );
-    assert!(err.contains("at least 2 nodes"), "got: {err}");
-
-    let output = std::process::Command::new(env!("CARGO_BIN_EXE_xp"))
-        .args(["run", "--spec", fixture, "--stream"])
-        .output()
-        .unwrap();
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
-    assert!(output.stdout.is_empty(), "no row may be streamed");
 }
 
 #[test]
@@ -655,5 +673,65 @@ fn a_one_node_dynamics_spec_is_rejected_statically() {
     assert!(
         err.contains("at least 2 nodes"),
         "expected a node-count error, got: {err}"
+    );
+}
+
+/// Asserts that `text`, the contents of the spec file at `path`, fails
+/// validation naming `cell` and `reason`, and that
+/// `xp run --spec <path> --stream` exits 2 without printing a row.
+fn assert_rejected_before_streaming(path: &str, text: &str, cell: &str, reason: &str) {
+    let err = load_error(text);
+    assert!(
+        err.contains(cell),
+        "the error must name the cell {cell}, got: {err}"
+    );
+    assert!(err.contains(reason), "expected {reason:?}, got: {err}");
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_xp"))
+        .args(["run", "--spec", path, "--stream"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "stderr: {stderr}");
+    assert!(output.stdout.is_empty(), "no row may be streamed");
+}
+
+/// [`assert_rejected_before_streaming`] for a spec written to a temporary
+/// file named `name`.
+fn assert_text_rejected_before_streaming(name: &str, text: &str, cell: &str, reason: &str) {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).unwrap();
+    assert_rejected_before_streaming(path.to_str().unwrap(), text, cell, reason);
+}
+
+#[test]
+fn a_noise_parameter_outside_its_family_range_is_rejected_statically() {
+    // Uniform noise over k = 3 opinions admits ε ≤ 2/3.
+    assert_text_rejected_before_streaming(
+        "uniform_eps_0_9.spec",
+        "scenario = plurality\nbias = 0.1\nn = 1000\nk = 3\nepsilon = 0.9\n",
+        "cell 0",
+        "epsilon 0.9 is outside the admissible range",
+    );
+}
+
+#[test]
+fn a_swept_epsilon_outside_the_family_range_is_rejected_statically() {
+    assert_text_rejected_before_streaming(
+        "sweep_eps_0_9.spec",
+        "scenario = plurality\nbias = 0.1\nn = 1000\nk = 3\nepsilon = 0.3\n\
+         sweep.eps = 0.3, 0.9\n",
+        "eps=0.9",
+        "epsilon 0.9 is outside the admissible range",
+    );
+}
+
+#[test]
+fn explicit_counts_larger_than_a_swept_n_are_rejected_statically() {
+    assert_text_rejected_before_streaming(
+        "counts_vs_sweep_n.spec",
+        "scenario = plurality\ncounts = 400, 300, 200\nn = 1000\nk = 3\nepsilon = 0.3\n\
+         sweep.n = 1000, 500\n",
+        "n=500",
+        "counts sum to 900 but the network has only 500 nodes",
     );
 }

@@ -2,8 +2,8 @@
 
 use crate::error::ProtocolError;
 use pushsim::{
-    ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule, SimConfig, SimError,
-    TopologySpec,
+    ChurnSpec, ClockSpec, DeliverySemantics, FaultSpec, NoiseSchedule, Opinion, SimConfig,
+    SimError, TopologySpec,
 };
 
 /// The protocol's tunable constants.
@@ -271,6 +271,51 @@ impl ProtocolParams {
     /// The tunable protocol constants.
     pub fn constants(&self) -> &ProtocolConstants {
         &self.constants
+    }
+
+    /// Validates plurality-instance initial counts and returns the unique
+    /// plurality opinion (the run's reference).
+    ///
+    /// Needs no noise matrix, so callers that assemble runs from external
+    /// data (the experiment harness's scenario specs) can admit every cell
+    /// before running any, instead of reaching the `run_*` entry points
+    /// with inputs they will reject.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadInitialCounts`] unless `initial_counts` has
+    /// exactly `k` entries, sums to something in `1..=n`, and has a unique
+    /// maximum (the plurality opinion the run measures success against).
+    pub fn validate_initial_counts(
+        &self,
+        initial_counts: &[usize],
+    ) -> Result<Opinion, ProtocolError> {
+        let k = self.num_opinions;
+        let n = self.num_nodes;
+        if initial_counts.len() != k {
+            return Err(ProtocolError::BadInitialCounts {
+                reason: format!("expected {k} counts, got {}", initial_counts.len()),
+            });
+        }
+        let total: usize = initial_counts.iter().sum();
+        if total == 0 {
+            return Err(ProtocolError::BadInitialCounts {
+                reason: "at least one node must hold an opinion".to_string(),
+            });
+        }
+        if total > n {
+            return Err(ProtocolError::BadInitialCounts {
+                reason: format!("counts sum to {total} but the network has only {n} nodes"),
+            });
+        }
+        let max = *initial_counts.iter().max().expect("non-empty counts");
+        let plurality: Vec<usize> = (0..k).filter(|&i| initial_counts[i] == max).collect();
+        if plurality.len() != 1 {
+            return Err(ProtocolError::BadInitialCounts {
+                reason: "the plurality opinion must be unique".to_string(),
+            });
+        }
+        Ok(Opinion::new(plurality[0]))
     }
 
     /// The run's simulator configuration: the single place the protocol

@@ -465,48 +465,17 @@ impl TwoStageProtocol {
     }
 
     /// Validates plurality-instance initial counts and returns the unique
-    /// plurality opinion (the run's reference).
-    ///
-    /// Public so callers that assemble runs from external data (the
-    /// experiment harness's scenario specs) can surface the same
-    /// validation as a recoverable error instead of reaching the
-    /// `run_*` entry points with inputs they will reject.
+    /// plurality opinion (the run's reference); see
+    /// [`ProtocolParams::validate_initial_counts`].
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadInitialCounts`] unless `initial_counts` has
-    /// exactly `k` entries, sums to something in `1..=n`, and has a unique
-    /// maximum (the plurality opinion the run measures success against).
+    /// [`ProtocolError::BadInitialCounts`] as described there.
     pub fn validate_initial_counts(
         &self,
         initial_counts: &[usize],
     ) -> Result<Opinion, ProtocolError> {
-        let k = self.params.num_opinions();
-        let n = self.params.num_nodes();
-        if initial_counts.len() != k {
-            return Err(ProtocolError::BadInitialCounts {
-                reason: format!("expected {k} counts, got {}", initial_counts.len()),
-            });
-        }
-        let total: usize = initial_counts.iter().sum();
-        if total == 0 {
-            return Err(ProtocolError::BadInitialCounts {
-                reason: "at least one node must hold an opinion".to_string(),
-            });
-        }
-        if total > n {
-            return Err(ProtocolError::BadInitialCounts {
-                reason: format!("counts sum to {total} but the network has only {n} nodes"),
-            });
-        }
-        let max = *initial_counts.iter().max().expect("non-empty counts");
-        let plurality: Vec<usize> = (0..k).filter(|&i| initial_counts[i] == max).collect();
-        if plurality.len() != 1 {
-            return Err(ProtocolError::BadInitialCounts {
-                reason: "the plurality opinion must be unique".to_string(),
-            });
-        }
-        Ok(Opinion::new(plurality[0]))
+        self.params.validate_initial_counts(initial_counts)
     }
 
     /// Builds the simulation network for one run.

@@ -35,16 +35,31 @@ use rand::Rng;
 /// # Ok::<(), noisy_channel::NoiseError>(())
 /// ```
 pub fn binary_flip(epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
+    check_binary_flip(epsilon)?;
+    NoiseMatrix::from_rows(vec![
+        vec![0.5 + epsilon, 0.5 - epsilon],
+        vec![0.5 - epsilon, 0.5 + epsilon],
+    ])
+}
+
+/// Checks the [`binary_flip`] family's domain without building the matrix.
+///
+/// # Errors
+///
+/// Same as [`binary_flip`].
+pub fn check_binary_flip(epsilon: f64) -> Result<(), NoiseError> {
+    check_half_open_epsilon(epsilon)
+}
+
+/// `0 < ε ≤ 1/2`, the domain of the binary and diagonally-dominant families.
+fn check_half_open_epsilon(epsilon: f64) -> Result<(), NoiseError> {
     if !(epsilon.is_finite() && epsilon > 0.0 && epsilon <= 0.5) {
         return Err(NoiseError::InvalidEpsilon {
             value: epsilon,
             max: 0.5,
         });
     }
-    NoiseMatrix::from_rows(vec![
-        vec![0.5 + epsilon, 0.5 - epsilon],
-        vec![0.5 - epsilon, 0.5 + epsilon],
-    ])
+    Ok(())
 }
 
 /// Checks the [`uniform`] family's domain without building the matrix.
@@ -100,15 +115,7 @@ pub fn uniform(k: usize, epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
 ///   [`binary_flip`]).
 /// * [`NoiseError::InvalidEpsilon`] unless `0 < λ < 1/2`.
 pub fn cyclic(k: usize, lambda: f64) -> Result<NoiseMatrix, NoiseError> {
-    if k < 3 {
-        return Err(NoiseError::TooFewOpinions { found: k });
-    }
-    if !(lambda.is_finite() && lambda > 0.0 && lambda < 0.5) {
-        return Err(NoiseError::InvalidEpsilon {
-            value: lambda,
-            max: 0.5,
-        });
-    }
+    check_cyclic(k, lambda)?;
     let rows = (0..k)
         .map(|i| {
             let mut row = vec![0.0; k];
@@ -119,6 +126,24 @@ pub fn cyclic(k: usize, lambda: f64) -> Result<NoiseMatrix, NoiseError> {
         })
         .collect();
     NoiseMatrix::from_rows(rows)
+}
+
+/// Checks the [`cyclic`] family's domain without building the matrix.
+///
+/// # Errors
+///
+/// Same as [`cyclic`].
+pub fn check_cyclic(k: usize, lambda: f64) -> Result<(), NoiseError> {
+    if k < 3 {
+        return Err(NoiseError::TooFewOpinions { found: k });
+    }
+    if !(lambda.is_finite() && lambda > 0.0 && lambda < 0.5) {
+        return Err(NoiseError::InvalidEpsilon {
+            value: lambda,
+            max: 0.5,
+        });
+    }
+    Ok(())
 }
 
 /// Resetting noise: with probability `λ` the transmitted opinion is replaced
@@ -134,6 +159,25 @@ pub fn cyclic(k: usize, lambda: f64) -> Result<NoiseMatrix, NoiseError> {
 /// * [`NoiseError::OpinionOutOfRange`] if `target ≥ k`.
 /// * [`NoiseError::InvalidEpsilon`] unless `0 < λ < 1`.
 pub fn reset_to_opinion(k: usize, lambda: f64, target: usize) -> Result<NoiseMatrix, NoiseError> {
+    check_reset_to_opinion(k, lambda, target)?;
+    let rows = (0..k)
+        .map(|i| {
+            let mut row = vec![0.0; k];
+            row[i] += 1.0 - lambda;
+            row[target] += lambda;
+            row
+        })
+        .collect();
+    NoiseMatrix::from_rows(rows)
+}
+
+/// Checks the [`reset_to_opinion`] family's domain without building the
+/// matrix.
+///
+/// # Errors
+///
+/// Same as [`reset_to_opinion`].
+pub fn check_reset_to_opinion(k: usize, lambda: f64, target: usize) -> Result<(), NoiseError> {
     if k < 2 {
         return Err(NoiseError::TooFewOpinions { found: k });
     }
@@ -149,15 +193,7 @@ pub fn reset_to_opinion(k: usize, lambda: f64, target: usize) -> Result<NoiseMat
             max: 1.0,
         });
     }
-    let rows = (0..k)
-        .map(|i| {
-            let mut row = vec![0.0; k];
-            row[i] += 1.0 - lambda;
-            row[target] += lambda;
-            row
-        })
-        .collect();
-    NoiseMatrix::from_rows(rows)
+    Ok(())
 }
 
 /// The diagonally-dominant counterexample of Section 4.
@@ -183,12 +219,7 @@ pub fn reset_to_opinion(k: usize, lambda: f64, target: usize) -> Result<NoiseMat
 ///
 /// Returns [`NoiseError::InvalidEpsilon`] unless `0 < ε ≤ 1/2`.
 pub fn diagonally_dominant_counterexample(epsilon: f64) -> Result<NoiseMatrix, NoiseError> {
-    if !(epsilon.is_finite() && epsilon > 0.0 && epsilon <= 0.5) {
-        return Err(NoiseError::InvalidEpsilon {
-            value: epsilon,
-            max: 0.5,
-        });
-    }
+    check_diagonally_dominant_counterexample(epsilon)?;
     let a = 0.5 + epsilon;
     let b = 0.5 - epsilon;
     NoiseMatrix::from_rows(vec![
@@ -196,6 +227,16 @@ pub fn diagonally_dominant_counterexample(epsilon: f64) -> Result<NoiseMatrix, N
         vec![0.0, a, b],
         vec![b, 0.0, a],
     ])
+}
+
+/// Checks the [`diagonally_dominant_counterexample`] family's domain
+/// without building the matrix.
+///
+/// # Errors
+///
+/// Same as [`diagonally_dominant_counterexample`].
+pub fn check_diagonally_dominant_counterexample(epsilon: f64) -> Result<(), NoiseError> {
+    check_half_open_epsilon(epsilon)
 }
 
 /// A near-uniform band matrix in the family of Eq. (17): diagonal entries
@@ -211,19 +252,15 @@ pub fn diagonally_dominant_counterexample(epsilon: f64) -> Result<NoiseMatrix, N
 ///
 /// * [`NoiseError::TooFewOpinions`] if `k < 2`.
 /// * [`NoiseError::InvalidEpsilon`] if the parameters cannot form a
-///   stochastic matrix (`p ∉ (0, 1)`, `q_l > q_u`, or negative band values).
+///   stochastic matrix (`p ∉ (0, 1)`, `q_l > q_u`, negative or non-finite
+///   band values).
 pub fn near_uniform_band(
     k: usize,
     p: f64,
     q_l: f64,
     q_u: f64,
 ) -> Result<NoiseMatrix, NoiseError> {
-    if k < 2 {
-        return Err(NoiseError::TooFewOpinions { found: k });
-    }
-    if !(p > 0.0 && p < 1.0) || q_l < 0.0 || q_u < q_l || !p.is_finite() {
-        return Err(NoiseError::InvalidEpsilon { value: p, max: 1.0 });
-    }
+    check_near_uniform_band(k, p, q_l, q_u)?;
     let off_count = (k - 1) as f64;
     let rows = (0..k)
         .map(|i| {
@@ -262,6 +299,22 @@ pub fn near_uniform_band(
         })
         .collect();
     NoiseMatrix::from_rows(rows)
+}
+
+/// Checks the [`near_uniform_band`] family's domain without building the
+/// matrix.
+///
+/// # Errors
+///
+/// Same as [`near_uniform_band`].
+pub fn check_near_uniform_band(k: usize, p: f64, q_l: f64, q_u: f64) -> Result<(), NoiseError> {
+    if k < 2 {
+        return Err(NoiseError::TooFewOpinions { found: k });
+    }
+    if !(p > 0.0 && p < 1.0 && q_l >= 0.0 && q_u >= q_l && q_u.is_finite()) {
+        return Err(NoiseError::InvalidEpsilon { value: p, max: 1.0 });
+    }
+    Ok(())
 }
 
 /// A random row-stochastic matrix whose diagonal is boosted by `diag_boost`

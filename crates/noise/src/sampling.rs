@@ -17,6 +17,17 @@
 //! * [`multinomial`] — decomposes `Multinomial(n, p)` into `k` conditional
 //!   binomials; the result always sums to exactly `n` (conservation of
 //!   messages by construction).
+//! * [`PreparedMultinomial`] — the same decomposition prepared once for
+//!   many draws with the same weights (the counting backend's sample
+//!   majority draws up to 65 536 compositions per call). It builds the
+//!   conditional chain `p_j / (remaining mass)` once, with the float
+//!   operations [`multinomial`] uses, and caches each category's BINV start
+//!   values `q^m` for the trial counts `m` it visits, so memory follows the
+//!   visited counts. [`sample_into`](PreparedMultinomial::sample_into)
+//!   writes into a caller's buffer. Each draw returns the counts
+//!   [`multinomial`] returns and consumes the same random numbers: the two
+//!   share one chain, one dispatch and one BINV/BTRS implementation, and
+//!   differ only in where BINV's start value comes from.
 
 use rand::Rng;
 
@@ -76,11 +87,13 @@ fn stirling_tail(k: u64) -> f64 {
 
 /// BINV: sequential CDF inversion, exact, O(n·p) expected iterations.
 /// Requires `p ≤ 0.5` and moderate `n·p` (so `(1−p)^n` does not underflow).
-fn binomial_binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+/// `start` is the CDF's first term `(1−p)^n`, which the caller computes
+/// (or looks up) once.
+fn binomial_binv<R: Rng + ?Sized>(n: u64, p: f64, start: f64, rng: &mut R) -> u64 {
     let q = 1.0 - p;
     let s = p / q;
     let a = (n as f64 + 1.0) * s;
-    let mut r = q.powf(n as f64);
+    let mut r = start;
     let mut u: f64 = rng.gen();
     let mut x = 0u64;
     while u > r {
@@ -88,7 +101,7 @@ fn binomial_binv<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
         x += 1;
         if x > n {
             // Floating-point leakage past the support; retry the draw.
-            r = q.powf(n as f64);
+            r = start;
             u = rng.gen();
             x = 0;
             continue;
@@ -147,6 +160,17 @@ fn binomial_btrs<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 ///
 /// Panics if `p` is NaN or outside `[0, 1]` by more than a rounding slack.
 pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
+    binomial_with_start(n, p, |n, q| q.powf(n as f64), rng)
+}
+
+/// [`binomial`], with BINV's start value `q^n` (`q = 1 − p` after the
+/// complement step) supplied by `start(n, q)`.
+fn binomial_with_start<R: Rng + ?Sized>(
+    n: u64,
+    p: f64,
+    start: impl FnOnce(u64, f64) -> f64,
+    rng: &mut R,
+) -> u64 {
     assert!(
         (-1e-9..=1.0 + 1e-9).contains(&p),
         "binomial probability must be in [0, 1], got {p}"
@@ -158,12 +182,82 @@ pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
         return n;
     }
     if p > 0.5 {
-        return n - binomial(n, 1.0 - p, rng);
+        return n - binomial_with_start(n, 1.0 - p, start, rng);
     }
     if n as f64 * p < 10.0 {
-        binomial_binv(n, p, rng)
+        binomial_binv(n, p, start(n, 1.0 - p), rng)
     } else {
         binomial_btrs(n, p, rng)
+    }
+}
+
+/// The conditional-binomial decomposition of `Multinomial(·, probs)`:
+/// category `j` takes `Binomial(remaining, conditionals[j])` of the trials
+/// the earlier categories left, and the last category takes the rest.
+///
+/// The chain ends early where the residual mass runs out. The category
+/// that exhausts it has `p_j ≥` the residual mass, so its conditional is
+/// 1, it takes every remaining trial, and the later categories get none.
+#[derive(Debug, Clone)]
+struct ConditionalChain {
+    /// `p_j / (mass of categories j..)`, clamped to `[0, 1]`, for every
+    /// category that draws a binomial.
+    conditionals: Vec<f64>,
+    categories: usize,
+    has_mass: bool,
+}
+
+impl ConditionalChain {
+    fn new(probs: &[f64]) -> Self {
+        assert!(!probs.is_empty(), "multinomial needs at least one category");
+        let mut remaining_mass: f64 = probs
+            .iter()
+            .map(|&p| {
+                assert!(p.is_finite() && p >= 0.0, "invalid multinomial weight {p}");
+                p
+            })
+            .sum();
+        let mut chain = Self {
+            conditionals: Vec::with_capacity(probs.len() - 1),
+            categories: probs.len(),
+            has_mass: remaining_mass > 0.0,
+        };
+        for &pj in &probs[..probs.len() - 1] {
+            chain
+                .conditionals
+                .push((pj / remaining_mass).clamp(0.0, 1.0));
+            remaining_mass = (remaining_mass - pj).max(0.0);
+            if remaining_mass == 0.0 {
+                break;
+            }
+        }
+        chain
+    }
+
+    /// Writes one draw of `n` trials into `counts`; `draw(j, remaining, c)`
+    /// samples category `j`'s `Binomial(remaining, c)`.
+    fn sample_into(
+        &self,
+        n: u64,
+        counts: &mut [u64],
+        mut draw: impl FnMut(usize, u64, f64) -> u64,
+    ) {
+        assert!(
+            n == 0 || self.has_mass,
+            "multinomial weights must not all be zero"
+        );
+        assert_eq!(counts.len(), self.categories, "one count per category");
+        counts.fill(0);
+        let mut remaining = n;
+        for (j, &conditional) in self.conditionals.iter().enumerate() {
+            if remaining == 0 {
+                return;
+            }
+            let taken = draw(j, remaining, conditional);
+            counts[j] = taken;
+            remaining -= taken;
+        }
+        counts[self.categories - 1] = remaining;
     }
 }
 
@@ -171,48 +265,105 @@ pub fn binomial<R: Rng + ?Sized>(n: u64, p: f64, rng: &mut R) -> u64 {
 /// decomposition. The returned counts always sum to exactly `n`.
 ///
 /// `probs` need not be normalized; only the ratios matter. Runs in `O(k)`
-/// binomial draws.
+/// binomial draws. To draw many times with the same weights, use
+/// [`PreparedMultinomial`], which returns the same counts.
 ///
 /// # Panics
 ///
 /// Panics if `probs` is empty, contains a negative or non-finite weight, or
 /// sums to zero while `n > 0`.
 pub fn multinomial<R: Rng + ?Sized>(n: u64, probs: &[f64], rng: &mut R) -> Vec<u64> {
-    assert!(!probs.is_empty(), "multinomial needs at least one category");
-    let mut remaining_mass: f64 = probs
-        .iter()
-        .map(|&p| {
-            assert!(p.is_finite() && p >= 0.0, "invalid multinomial weight {p}");
-            p
-        })
-        .sum();
-    assert!(
-        n == 0 || remaining_mass > 0.0,
-        "multinomial weights must not all be zero"
-    );
     let mut counts = vec![0u64; probs.len()];
-    let mut remaining = n;
-    for (j, &pj) in probs.iter().enumerate() {
-        if remaining == 0 {
-            break;
-        }
-        if j + 1 == probs.len() {
-            counts[j] = remaining;
-            break;
-        }
-        let conditional = (pj / remaining_mass).clamp(0.0, 1.0);
-        let draw = binomial(remaining, conditional, rng);
-        counts[j] = draw;
-        remaining -= draw;
-        remaining_mass = (remaining_mass - pj).max(0.0);
-        if remaining_mass == 0.0 {
-            // All residual mass was consumed (within rounding); any
-            // remaining trials stay at categories already handled, which
-            // can only happen through rounding on degenerate inputs.
-            break;
-        }
-    }
+    ConditionalChain::new(probs).sample_into(n, &mut counts, |_, m, c| binomial(m, c, rng));
     counts
+}
+
+/// [`multinomial`] prepared for many draws with the same weights.
+///
+/// The conditional chain is built once, and each category caches the BINV
+/// start values `q^m` of the trial counts `m` it has drawn at. Every draw
+/// returns the same counts as [`multinomial`] and consumes the same random
+/// numbers, so switching between the two never changes an RNG stream.
+///
+/// ```
+/// use noisy_channel::sampling::{multinomial, PreparedMultinomial};
+/// use rand::rngs::StdRng;
+/// use rand::SeedableRng;
+///
+/// let weights = [5.0, 3.0, 2.0];
+/// let mut prepared = PreparedMultinomial::new(&weights);
+/// let (mut a, mut b) = (StdRng::seed_from_u64(1), StdRng::seed_from_u64(1));
+/// let mut counts = [0u64; 3];
+/// for _ in 0..100 {
+///     prepared.sample_into(41, &mut counts, &mut a);
+///     assert_eq!(counts.to_vec(), multinomial(41, &weights, &mut b));
+/// }
+/// assert_eq!(a, b);
+/// ```
+#[derive(Debug, Clone)]
+pub struct PreparedMultinomial {
+    chain: ConditionalChain,
+    /// One start-value cache per binomial-drawing category.
+    starts: Vec<StartValues>,
+}
+
+impl PreparedMultinomial {
+    /// Prepares `Multinomial(·, probs)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs` is empty or contains a negative or non-finite
+    /// weight.
+    pub fn new(probs: &[f64]) -> Self {
+        let chain = ConditionalChain::new(probs);
+        let starts = vec![StartValues::default(); chain.conditionals.len()];
+        Self { chain, starts }
+    }
+
+    /// Overwrites `counts` with one draw of `Multinomial(n, probs)`: the
+    /// counts [`multinomial`]`(n, probs, rng)` would return.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts.len()` is not the number of categories, or if the
+    /// weights sum to zero while `n > 0`.
+    pub fn sample_into<R: Rng + ?Sized>(&mut self, n: u64, counts: &mut [u64], rng: &mut R) {
+        let starts = &mut self.starts;
+        self.chain.sample_into(n, counts, |j, m, c| {
+            binomial_with_start(m, c, |m, q| starts[j].get(m, q), rng)
+        });
+    }
+}
+
+/// BINV start values `q^m` of one category (whose `q` is fixed), over the
+/// window of trial counts `m` drawn at so far; NaN marks a value not yet
+/// computed. Memory follows the visited counts, not the sample size.
+#[derive(Debug, Clone, Default)]
+struct StartValues {
+    lowest: u64,
+    values: Vec<f64>,
+}
+
+impl StartValues {
+    fn get(&mut self, m: u64, q: f64) -> f64 {
+        if self.values.is_empty() {
+            self.lowest = m;
+        } else if m < self.lowest {
+            let below = (self.lowest - m) as usize;
+            self.values
+                .splice(0..0, std::iter::repeat_n(f64::NAN, below));
+            self.lowest = m;
+        }
+        let i = (m - self.lowest) as usize;
+        if i >= self.values.len() {
+            self.values.resize(i + 1, f64::NAN);
+        }
+        let value = &mut self.values[i];
+        if value.is_nan() {
+            *value = q.powf(m as f64);
+        }
+        *value
+    }
 }
 
 #[cfg(test)]

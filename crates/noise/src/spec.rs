@@ -101,28 +101,53 @@ impl NoiseSpec {
     /// rejects `flip` with `k ≠ 2` and `diag` with `k ≠ 3` (those families
     /// are defined at a fixed size) with [`NoiseError::InvalidSpec`].
     pub fn build(&self, k: usize) -> Result<NoiseMatrix, NoiseError> {
+        self.check(k)?;
         match *self {
             NoiseSpec::Uniform { epsilon } => families::uniform(k, epsilon),
+            NoiseSpec::BinaryFlip { epsilon } => families::binary_flip(epsilon),
+            NoiseSpec::Cyclic { lambda } => families::cyclic(k, lambda),
+            NoiseSpec::Reset { lambda, target } => families::reset_to_opinion(k, lambda, target),
+            NoiseSpec::DiagonallyDominant { epsilon } => {
+                families::diagonally_dominant_counterexample(epsilon)
+            }
+            NoiseSpec::Band { p, q_low, q_high } => {
+                families::near_uniform_band(k, p, q_low, q_high)
+            }
+        }
+    }
+
+    /// Checks that [`build`](Self::build) succeeds for `k` opinions,
+    /// without building the matrix: the family's own domain check
+    /// (`families::check_*`) plus the fixed sizes of `flip` and `diag`.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the errors [`build`](Self::build) would return.
+    pub fn check(&self, k: usize) -> Result<(), NoiseError> {
+        match *self {
+            NoiseSpec::Uniform { epsilon } => families::check_uniform(k, epsilon),
             NoiseSpec::BinaryFlip { epsilon } => {
                 if k != 2 {
                     return Err(NoiseError::InvalidSpec(format!(
                         "flip(..) is a binary family and cannot serve k = {k} opinions"
                     )));
                 }
-                families::binary_flip(epsilon)
+                families::check_binary_flip(epsilon)
             }
-            NoiseSpec::Cyclic { lambda } => families::cyclic(k, lambda),
-            NoiseSpec::Reset { lambda, target } => families::reset_to_opinion(k, lambda, target),
+            NoiseSpec::Cyclic { lambda } => families::check_cyclic(k, lambda),
+            NoiseSpec::Reset { lambda, target } => {
+                families::check_reset_to_opinion(k, lambda, target)
+            }
             NoiseSpec::DiagonallyDominant { epsilon } => {
                 if k != 3 {
                     return Err(NoiseError::InvalidSpec(format!(
                         "diag(..) is defined over exactly 3 opinions, not k = {k}"
                     )));
                 }
-                families::diagonally_dominant_counterexample(epsilon)
+                families::check_diagonally_dominant_counterexample(epsilon)
             }
             NoiseSpec::Band { p, q_low, q_high } => {
-                families::near_uniform_band(k, p, q_low, q_high)
+                families::check_near_uniform_band(k, p, q_low, q_high)
             }
         }
     }
@@ -292,6 +317,58 @@ mod tests {
         assert!(NoiseSpec::BinaryFlip { epsilon: 0.3 }.build(2).is_ok());
         assert!(NoiseSpec::DiagonallyDominant { epsilon: 0.05 }.build(2).is_err());
         assert!(NoiseSpec::DiagonallyDominant { epsilon: 0.05 }.build(3).is_ok());
+    }
+
+    #[test]
+    fn check_agrees_with_build_without_building() {
+        let values = [
+            -0.1,
+            0.0,
+            0.05,
+            0.3,
+            0.49,
+            0.5,
+            0.6,
+            0.7,
+            0.9,
+            1.0,
+            1.5,
+            f64::NAN,
+            f64::INFINITY,
+        ];
+        let mut specs = Vec::new();
+        for &x in &values {
+            specs.push(NoiseSpec::Uniform { epsilon: x });
+            specs.push(NoiseSpec::BinaryFlip { epsilon: x });
+            specs.push(NoiseSpec::Cyclic { lambda: x });
+            specs.push(NoiseSpec::DiagonallyDominant { epsilon: x });
+            for target in [0, 2, 5] {
+                specs.push(NoiseSpec::Reset { lambda: x, target });
+            }
+            for &q in &values {
+                specs.push(NoiseSpec::Band {
+                    p: x,
+                    q_low: 0.05,
+                    q_high: q,
+                });
+                specs.push(NoiseSpec::Band {
+                    p: 0.5,
+                    q_low: x,
+                    q_high: q,
+                });
+            }
+        }
+        for spec in &specs {
+            for k in 1..8 {
+                assert_eq!(
+                    spec.check(k).is_ok(),
+                    spec.build(k).is_ok(),
+                    "{spec} at k = {k}: check {:?}, build {:?}",
+                    spec.check(k),
+                    spec.build(k).err()
+                );
+            }
+        }
     }
 
     #[test]

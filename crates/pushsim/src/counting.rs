@@ -6,10 +6,18 @@
 //! *counts* (the Poissonized process P of Definition 4 is defined purely in
 //! terms of the post-noise totals `h_i`). [`CountingNetwork`] exploits that:
 //! instead of `Vec<NodeState>` plus per-agent inboxes, the population is a
-//! `k`-vector of opinion counts plus an undecided count, and a whole phase
-//! costs **O(k²) random draws** (one multinomial per opinion row of the
-//! noise matrix) regardless of `n` — so `n = 10⁷` or `10⁸` runs in the time
-//! the agent-level backend needs for `n = 10⁴`.
+//! `k`-vector of opinion counts plus an undecided count, and the push rounds
+//! and noise of a whole phase cost **O(k²) random draws** (one multinomial
+//! per opinion row of the noise matrix) regardless of `n` — so `n = 10⁷` or
+//! `10⁸` runs in the time the agent-level backend needs for `n = 10⁴`.
+//!
+//! Not every decision operator is that cheap. Sample majority (Stage 2 and
+//! h-majority dynamics, [`sample_majority_splits`]) draws up to 65 536
+//! multinomial compositions of the sample size per call, each `k − 1`
+//! conditional binomials, with the sampler's setup paid once per call. It
+//! dominates counting-backend runs: at n = 10⁶ and ℓ = 129 one call takes
+//! about 6 ms at k = 2 and 190 ms at k = 64 (`pushsim_counting_majority` in
+//! `BENCH_pushsim.json`), against microseconds for the rest of the phase.
 //!
 //! ## Semantics: process P, exactly
 //!
@@ -45,7 +53,7 @@ use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::network::{membership_count, ChurnState, RoundReport, ScheduledNoise, FAULT_SEED_SALT};
 use crate::opinion::Opinion;
-use noisy_channel::sampling::{binomial, multinomial};
+use noisy_channel::sampling::{binomial, multinomial, PreparedMultinomial};
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,8 +178,13 @@ const MAJORITY_EXACT_CAP: u64 = 65_536;
 /// over the opinions: the count-level form of Stage 2's sample-majority
 /// adoption (and of h-majority dynamics).
 ///
-/// Up to `MAJORITY_EXACT_CAP` (65 536) draws are sampled exactly (one multinomial
-/// composition + tie-broken argmax each). Beyond the cap, the remaining
+/// Up to `MAJORITY_EXACT_CAP` (65 536) draws are sampled exactly: one
+/// composition of `Multinomial(sample_size, weights)` and a tie-broken
+/// argmax each, so a call costs up to 65 536 × (k − 1) conditional
+/// binomials. The sampler's setup (the conditional chain and its BINV
+/// start values, see [`PreparedMultinomial`]) is paid once per call, not
+/// per composition, and the RNG stream is the one a fresh one-shot
+/// multinomial per composition would draw. Beyond the cap, the remaining
 /// draws are split by a single multinomial over the empirical frequencies
 /// of the exact draws — a `O(1/√cap) ≈ 0.4%` perturbation of the adoption
 /// probabilities, far below the phase-level sampling noise at the
@@ -190,9 +203,11 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
         return out;
     }
     let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+    let mut composition_law = PreparedMultinomial::new(&weights_f);
+    let mut composition = vec![0u64; k];
     let exact = count.min(MAJORITY_EXACT_CAP);
     for _ in 0..exact {
-        let composition = multinomial(sample_size, &weights_f, rng);
+        composition_law.sample_into(sample_size, &mut composition, rng);
         out[majority_index(&composition, rng)] += 1;
     }
     if count > exact {
@@ -1202,6 +1217,57 @@ mod tests {
             sample_majority_splits(5, 41, &[0, 0], &mut rng),
             vec![0, 0]
         );
+    }
+
+    /// `sample_majority_splits` with a one-shot multinomial per exact
+    /// draw: the reference the prepared loop must reproduce bit for bit.
+    fn reference_sample_majority_splits<R: Rng + ?Sized>(
+        count: u64,
+        sample_size: u64,
+        weights: &[u64],
+        rng: &mut R,
+    ) -> Vec<u64> {
+        let k = weights.len();
+        let mut out = vec![0u64; k];
+        if count == 0 || sample_size == 0 || weights.iter().all(|&w| w == 0) {
+            return out;
+        }
+        let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+        let exact = count.min(MAJORITY_EXACT_CAP);
+        for _ in 0..exact {
+            let composition = multinomial(sample_size, &weights_f, rng);
+            out[majority_index(&composition, rng)] += 1;
+        }
+        if count > exact {
+            let freq: Vec<f64> = out.iter().map(|&c| c as f64).collect();
+            let bulk = multinomial(count - exact, &freq, rng);
+            for (o, b) in out.iter_mut().zip(bulk) {
+                *o += b;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn majority_splits_match_the_one_shot_reference_below_and_above_the_cap() {
+        let cases: [(u64, u64, &[u64]); 6] = [
+            (1_000, 41, &[700, 300]),
+            (5_000, 129, &[260, 140, 120, 110, 100, 90, 90, 90]),
+            (2_000, 885, &[266_000, 11_700, 11_700, 11_600, 0, 11_650]),
+            (3_000, 7, &[0, 5, 0, 5, 1]),
+            (MAJORITY_EXACT_CAP + 40_000, 61, &[55, 45]),
+            (MAJORITY_EXACT_CAP + 1, 129, &[30, 25, 20, 15, 10]),
+        ];
+        for (seed, (count, sample_size, weights)) in cases.into_iter().enumerate() {
+            let mut a = StdRng::seed_from_u64(seed as u64);
+            let mut b = a.clone();
+            assert_eq!(
+                sample_majority_splits(count, sample_size, weights, &mut a),
+                reference_sample_majority_splits(count, sample_size, weights, &mut b),
+                "count {count}, sample size {sample_size}, weights {weights:?}"
+            );
+            assert_eq!(a, b, "RNG streams diverged for weights {weights:?}");
+        }
     }
 
     #[test]

@@ -56,8 +56,10 @@
 //!   handles every topology family and every fault.
 //! * [`CountingNetwork`] — the **count-based** backend: agents are
 //!   anonymous and exchangeable, so the population is represented as a
-//!   `k`-vector of per-opinion counts and a phase costs O(k²) random draws
-//!   (one multinomial per noise-matrix row) *independent of `n`* — the
+//!   `k`-vector of per-opinion counts and a phase's pushes and noise cost
+//!   O(k²) random draws (one multinomial per noise-matrix row)
+//!   *independent of `n`* (the sample-majority decision is costlier; see
+//!   [`counting`]) — the
 //!   same reformulation the paper's own analysis uses (it reasons about
 //!   the counts `h_i` of Definition 4, never about individuals).
 //!   Complete-graph-only: that exchangeability is exactly what a sparse
