@@ -568,18 +568,27 @@ fn bench_temporal_overhead(c: &mut Criterion) {
 }
 
 /// The layer that dominates counting-backend runs: one
-/// `resolve_sample_majority` (Stage 2's decision operator, ℓ = 129) at
-/// n = 10⁶ against the tally of a finished Stage 2 phase — up to 65 536
-/// multinomial compositions of ℓ messages, each with k − 1 conditional
-/// binomials. Every iteration resolves a clone of the same post-phase
+/// `resolve_sample_majority` (Stage 2's decision operator) at n = 10⁶
+/// against the tally of a finished Stage 2 phase — up to 65 536
+/// compositions of ℓ messages. `k{k}` is ℓ = 129, Stage 2's sample size at
+/// ε = 0.25; `l885_k{k}` is ℓ = 885, its final phase at n = 10⁶. The pairs
+/// sit on both sides of the crossover between drawing a composition
+/// message by message (ℓ alias draws) and by the conditional chain (k − 1
+/// binomials). Every iteration resolves a clone of the same post-phase
 /// network (a clone is O(k)), so every sample sees the same weights.
 fn bench_counting_majority(c: &mut Criterion) {
     let n = 1_000_000usize;
-    let sample_size = 129u64;
     let mut group = c.benchmark_group("pushsim_counting_majority");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(2));
-    for k in [2usize, 8, 32, 64] {
+    for (sample_size, k) in [
+        (129u64, 2usize),
+        (129, 8),
+        (129, 32),
+        (129, 64),
+        (885, 2),
+        (885, 64),
+    ] {
         let noise = NoiseMatrix::uniform(k, 0.25).expect("valid noise");
         let config = SimConfig::builder(n, k)
             .seed(8)
@@ -595,7 +604,11 @@ fn bench_counting_majority(c: &mut Criterion) {
         }
         net.end_phase();
         let mut rng = StdRng::seed_from_u64(9);
-        group.bench_function(format!("k{k}"), |b| {
+        let name = match sample_size {
+            129 => format!("k{k}"),
+            _ => format!("l{sample_size}_k{k}"),
+        };
+        group.bench_function(name, |b| {
             b.iter(|| {
                 let mut resolved = net.clone();
                 resolved.resolve_sample_majority(sample_size, &mut rng);

@@ -28,7 +28,8 @@
 //!   Eq. (18);
 //! * [`sampling`] — exact binomial/multinomial samplers powering the
 //!   simulator's batched count-based delivery (one multinomial per opinion
-//!   row instead of one channel draw per message);
+//!   row instead of one channel draw per message), and the alias table
+//!   behind O(1) per-message draws;
 //! * [`NoiseSpec`] — a declarative, `k`-independent family-plus-parameters
 //!   description with a round-trippable textual form (`uniform(0.25)`,
 //!   `reset(0.4, 1)`, …), used by the experiment harness's scenario spec

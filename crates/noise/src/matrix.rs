@@ -1,69 +1,9 @@
 //! The validated row-stochastic noise matrix.
 
 use crate::error::NoiseError;
-use crate::{sampling, STOCHASTIC_TOLERANCE};
+use crate::sampling::{self, AliasTable};
+use crate::STOCHASTIC_TOLERANCE;
 use rand::Rng;
-
-/// A Walker/Vose alias table for one matrix row: O(1) sampling of the
-/// received opinion, regardless of `k`.
-///
-/// Construction is the standard two-stack pairing of under-full and
-/// over-full columns; sampling draws one uniform column index and one
-/// uniform coin. Compared to the previous inverse-CDF binary search this
-/// removes the `log k` factor *and* the data-dependent branch pattern from
-/// the per-message hot path.
-#[derive(Debug, Clone, PartialEq)]
-struct AliasTable {
-    /// Acceptance probability of each column.
-    prob: Vec<f64>,
-    /// Fallback outcome of each column.
-    alias: Vec<usize>,
-}
-
-impl AliasTable {
-    fn new(weights: &[f64]) -> Self {
-        let k = weights.len();
-        debug_assert!(k > 0);
-        let total: f64 = weights.iter().sum();
-        let mut scaled: Vec<f64> = weights.iter().map(|&w| w * k as f64 / total).collect();
-        let mut prob = vec![0.0f64; k];
-        let mut alias: Vec<usize> = (0..k).collect();
-        let mut small: Vec<usize> = Vec::with_capacity(k);
-        let mut large: Vec<usize> = Vec::with_capacity(k);
-        for (j, &s) in scaled.iter().enumerate() {
-            if s < 1.0 {
-                small.push(j);
-            } else {
-                large.push(j);
-            }
-        }
-        while let (Some(&s), Some(&l)) = (small.last(), large.last()) {
-            small.pop();
-            prob[s] = scaled[s];
-            alias[s] = l;
-            scaled[l] -= 1.0 - scaled[s];
-            if scaled[l] < 1.0 {
-                large.pop();
-                small.push(l);
-            }
-        }
-        // Leftovers on either stack are exactly-full columns up to rounding.
-        for j in small.into_iter().chain(large) {
-            prob[j] = 1.0;
-        }
-        Self { prob, alias }
-    }
-
-    #[inline]
-    fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let j = rng.gen_range(0..self.prob.len());
-        if rng.gen::<f64>() < self.prob[j] {
-            j
-        } else {
-            self.alias[j]
-        }
-    }
-}
 
 /// A `k × k` row-stochastic noise matrix `P = (p_{i,j})`.
 ///

@@ -13,11 +13,17 @@
 //!
 //! Not every decision operator is that cheap. Sample majority (Stage 2 and
 //! h-majority dynamics, [`sample_majority_splits`]) draws up to 65 536
-//! multinomial compositions of the sample size per call, each `k − 1`
-//! conditional binomials, with the sampler's setup paid once per call. It
-//! dominates counting-backend runs: at n = 10⁶ and ℓ = 129 one call takes
-//! about 6 ms at k = 2 and 190 ms at k = 64 (`pushsim_counting_majority` in
-//! `BENCH_pushsim.json`), against microseconds for the rest of the phase.
+//! multinomial compositions of the sample size `ℓ` per call, and it
+//! dominates counting-backend runs. Each composition is drawn the cheaper
+//! of two ways, with the setup paid once per call: message by message
+//! (`ℓ` one-word draws from an alias table, about 3–4 ns each) when
+//! `ℓ < 28 · (k − 1)`, otherwise by the conditional-binomial chain (`k − 1`
+//! binomials, about 45–130 ns each). The alias draw's 64-bit coin moves
+//! each opinion's probability by at most `2k · 2⁻⁶⁴`; otherwise both draw
+//! the same multinomial. At n = 10⁶ and ℓ = 129 one call takes about 8 ms
+//! at k = 2 (chain) and 34 ms at k = 64 (message by message)
+//! (`pushsim_counting_majority` in `BENCH_pushsim.json`), against
+//! microseconds for the rest of the phase.
 //!
 //! ## Semantics: process P, exactly
 //!
@@ -53,7 +59,7 @@ use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::network::{membership_count, ChurnState, RoundReport, ScheduledNoise, FAULT_SEED_SALT};
 use crate::opinion::Opinion;
-use noisy_channel::sampling::{binomial, multinomial, PreparedMultinomial};
+use noisy_channel::sampling::{binomial, multinomial, AliasTable, PreparedMultinomial};
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -170,9 +176,39 @@ fn majority_index<R: Rng + ?Sized>(counts: &[u64], rng: &mut R) -> usize {
     unreachable!("pick indexes a tied maximum")
 }
 
+/// [`majority_index`], drawing the tie-break only when the maximum is
+/// actually tied.
+fn majority_index_on_ties<R: Rng + ?Sized>(counts: &[u64], rng: &mut R) -> usize {
+    let (mut best, mut max, mut tied) = (0, counts[0], 1);
+    for (i, &c) in counts.iter().enumerate().skip(1) {
+        if c > max {
+            (best, max, tied) = (i, c, 1);
+        } else if c == max {
+            tied += 1;
+        }
+    }
+    if tied == 1 {
+        best
+    } else {
+        majority_index(counts, rng)
+    }
+}
+
 /// How many exact per-draw samples [`sample_majority_splits`] takes before
 /// switching to the estimated-pmf bulk path.
 const MAJORITY_EXACT_CAP: u64 = 65_536;
+
+/// How many one-word alias draws cost about one conditional binomial of
+/// the chain: [`sample_majority_splits`] composes message by message when
+/// `sample_size < MESSAGES_PER_BINOMIAL · (k − 1)`.
+const MESSAGES_PER_BINOMIAL: u64 = 28;
+
+/// Whether [`sample_majority_splits`] draws each composition of
+/// `sample_size` messages over `k` opinions message by message (`true`) or
+/// by the conditional-binomial chain (`false`): whichever is cheaper.
+fn composes_by_message(sample_size: u64, k: usize) -> bool {
+    sample_size < MESSAGES_PER_BINOMIAL * (k as u64).saturating_sub(1)
+}
 
 /// Distributes `count` iid draws of `maj(Multinomial(sample_size, weights))`
 /// over the opinions: the count-level form of Stage 2's sample-majority
@@ -180,15 +216,27 @@ const MAJORITY_EXACT_CAP: u64 = 65_536;
 ///
 /// Up to `MAJORITY_EXACT_CAP` (65 536) draws are sampled exactly: one
 /// composition of `Multinomial(sample_size, weights)` and a tie-broken
-/// argmax each, so a call costs up to 65 536 × (k − 1) conditional
-/// binomials. The sampler's setup (the conditional chain and its BINV
-/// start values, see [`PreparedMultinomial`]) is paid once per call, not
-/// per composition, and the RNG stream is the one a fresh one-shot
-/// multinomial per composition would draw. Beyond the cap, the remaining
-/// draws are split by a single multinomial over the empirical frequencies
-/// of the exact draws — a `O(1/√cap) ≈ 0.4%` perturbation of the adoption
-/// probabilities, far below the phase-level sampling noise at the
-/// population sizes where the cap binds.
+/// argmax each. A composition is drawn one of two ways, whichever is
+/// cheaper for the call's `ℓ = sample_size` and `k = weights.len()`:
+///
+/// * **message by message** when `ℓ < 28 · (k − 1)`: `ℓ` categorical draws
+///   from one [`AliasTable`] built once per call from the integer weights,
+///   one random word each (its quantization moves each category's
+///   probability by at most `2k · 2⁻⁶⁴`), counted into a reused buffer. The
+///   tie-break word is drawn only when the maximum is tied. Cost `O(ℓ)` per
+///   composition.
+/// * **by the conditional-binomial chain** otherwise: `k − 1` conditional
+///   binomials ([`PreparedMultinomial`], set up once per call), each about
+///   as dear as 28 alias draws. Cost `O(k)` per composition, whatever `ℓ`.
+///   Its RNG stream is the one a fresh one-shot multinomial per composition
+///   would draw.
+///
+/// Both draw the same multinomial and the same uniform tie-break, so the
+/// law of the result does not depend on the choice. Beyond the cap, the
+/// remaining draws are split by a single multinomial over the empirical
+/// frequencies of the exact draws — a `O(1/√cap) ≈ 0.4%` perturbation of
+/// the adoption probabilities, far below the phase-level sampling noise at
+/// the population sizes where the cap binds.
 ///
 /// Returns per-opinion adoption counts summing to exactly `count`.
 pub fn sample_majority_splits<R: Rng + ?Sized>(
@@ -197,18 +245,28 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
     weights: &[u64],
     rng: &mut R,
 ) -> Vec<u64> {
-    let k = weights.len();
-    let mut out = vec![0u64; k];
+    let by_message = composes_by_message(sample_size, weights.len());
+    majority_splits_with(count, sample_size, weights, by_message, rng)
+}
+
+/// [`sample_majority_splits`] with the composition sampler chosen by the
+/// caller.
+fn majority_splits_with<R: Rng + ?Sized>(
+    count: u64,
+    sample_size: u64,
+    weights: &[u64],
+    by_message: bool,
+    rng: &mut R,
+) -> Vec<u64> {
+    let mut out = vec![0u64; weights.len()];
     if count == 0 || sample_size == 0 || weights.iter().all(|&w| w == 0) {
         return out;
     }
-    let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
-    let mut composition_law = PreparedMultinomial::new(&weights_f);
-    let mut composition = vec![0u64; k];
     let exact = count.min(MAJORITY_EXACT_CAP);
-    for _ in 0..exact {
-        composition_law.sample_into(sample_size, &mut composition, rng);
-        out[majority_index(&composition, rng)] += 1;
+    if by_message {
+        majorities_by_message(exact, sample_size, weights, &mut out, rng);
+    } else {
+        majorities_by_chain(exact, sample_size, weights, &mut out, rng);
     }
     if count > exact {
         let freq: Vec<f64> = out.iter().map(|&c| c as f64).collect();
@@ -218,6 +276,44 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
         }
     }
     out
+}
+
+/// Adds `draws` sample majorities to `out`, each composition drawn message
+/// by message from one alias table.
+fn majorities_by_message<R: Rng + ?Sized>(
+    draws: u64,
+    sample_size: u64,
+    weights: &[u64],
+    out: &mut [u64],
+    rng: &mut R,
+) {
+    let table = AliasTable::from_counts(weights);
+    let mut composition = vec![0u64; weights.len()];
+    for _ in 0..draws {
+        composition.fill(0);
+        for _ in 0..sample_size {
+            composition[table.sample_one_word(rng)] += 1;
+        }
+        out[majority_index_on_ties(&composition, rng)] += 1;
+    }
+}
+
+/// Adds `draws` sample majorities to `out`, each composition drawn by the
+/// conditional-binomial chain.
+fn majorities_by_chain<R: Rng + ?Sized>(
+    draws: u64,
+    sample_size: u64,
+    weights: &[u64],
+    out: &mut [u64],
+    rng: &mut R,
+) {
+    let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+    let mut composition_law = PreparedMultinomial::new(&weights_f);
+    let mut composition = vec![0u64; weights.len()];
+    for _ in 0..draws {
+        composition_law.sample_into(sample_size, &mut composition, rng);
+        out[majority_index(&composition, rng)] += 1;
+    }
 }
 
 /// The fault pools of a count-based network: Byzantine and crashed agents
@@ -1259,15 +1355,113 @@ mod tests {
             (MAJORITY_EXACT_CAP + 1, 129, &[30, 25, 20, 15, 10]),
         ];
         for (seed, (count, sample_size, weights)) in cases.into_iter().enumerate() {
+            let reference = |rng: &mut StdRng| {
+                reference_sample_majority_splits(count, sample_size, weights, rng)
+            };
+            let case = format!("count {count}, sample size {sample_size}, weights {weights:?}");
+            // The chain reproduces the reference bit for bit, RNG state
+            // included…
             let mut a = StdRng::seed_from_u64(seed as u64);
             let mut b = a.clone();
             assert_eq!(
-                sample_majority_splits(count, sample_size, weights, &mut a),
-                reference_sample_majority_splits(count, sample_size, weights, &mut b),
-                "count {count}, sample size {sample_size}, weights {weights:?}"
+                majority_splits_with(count, sample_size, weights, false, &mut a),
+                reference(&mut b),
+                "{case}"
             );
-            assert_eq!(a, b, "RNG streams diverged for weights {weights:?}");
+            assert_eq!(a, b, "RNG streams diverged: {case}");
+            // …and so does every call whose (ℓ, k) selects it.
+            if !composes_by_message(sample_size, weights.len()) {
+                let mut a = StdRng::seed_from_u64(seed as u64);
+                let mut b = a.clone();
+                assert_eq!(
+                    sample_majority_splits(count, sample_size, weights, &mut a),
+                    reference(&mut b),
+                    "{case}"
+                );
+                assert_eq!(a, b, "RNG streams diverged: {case}");
+            }
         }
+    }
+
+    #[test]
+    fn per_message_majorities_match_the_chain_in_law() {
+        let skewed: Vec<u64> = (0..64)
+            .map(|j| if j % 7 == 0 { 0 } else { 200 - j })
+            .collect();
+        let cases: [(u64, &[u64]); 6] = [
+            // Equal weights and an even sample: ties are frequent, and
+            // broken uniformly.
+            (4, &[1, 1]),
+            (6, &[5, 5, 5]),
+            (4, &[3, 2, 2]),
+            (7, &[0, 5, 0, 5, 1]),
+            (129, &[260, 140, 120, 110, 100, 90, 90, 90]),
+            (129, &skewed),
+        ];
+        let draws = MAJORITY_EXACT_CAP;
+        for (seed, (sample_size, weights)) in cases.into_iter().enumerate() {
+            let mut rng = StdRng::seed_from_u64(100 + seed as u64);
+            let by_message = majority_splits_with(draws, sample_size, weights, true, &mut rng);
+            let by_chain = reference_sample_majority_splits(draws, sample_size, weights, &mut rng);
+            for (j, (&m, &c)) in by_message.iter().zip(&by_chain).enumerate() {
+                let (pm, pc) = (m as f64 / draws as f64, c as f64 / draws as f64);
+                let pooled = (pm + pc) / 2.0;
+                // Five standard errors of a difference of two frequencies,
+                // plus one draw's worth for categories that are never won.
+                let band = 5.0 * (2.0 * pooled * (1.0 - pooled) / draws as f64).sqrt()
+                    + 1.0 / draws as f64;
+                assert!(
+                    (pm - pc).abs() <= band,
+                    "sample size {sample_size}, weights {weights:?}, opinion {j}: \
+                     {pm:.4} by message vs {pc:.4} by chain (band {band:.4})"
+                );
+                if weights[j] == 0 {
+                    assert_eq!(m, 0, "a zero-weight opinion won a majority");
+                }
+            }
+            if weights.iter().all(|&w| w == weights[0]) {
+                let uniform = 1.0 / weights.len() as f64;
+                for &m in &by_message {
+                    let band = 5.0 * (uniform * (1.0 - uniform) / draws as f64).sqrt();
+                    let p = m as f64 / draws as f64;
+                    assert!(
+                        (p - uniform).abs() <= band,
+                        "ties not uniform: {by_message:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_sampler_choice_follows_the_measured_crossover() {
+        assert_eq!(MESSAGES_PER_BINOMIAL, 28);
+        // Message by message where ℓ is small against k…
+        for (sample_size, k) in [(129, 8), (885, 64), (129, 32), (129, 64), (3, 3)] {
+            assert!(
+                composes_by_message(sample_size, k),
+                "ℓ = {sample_size}, k = {k}"
+            );
+        }
+        // …and the chain where it is not: every k = 2 cell, the k = 3,
+        // ℓ = 129 churn/burst cells, and large samples at moderate k.
+        for (sample_size, k) in [(129, 2), (885, 2), (129, 3), (885, 8), (885, 32), (5, 1)] {
+            assert!(
+                !composes_by_message(sample_size, k),
+                "ℓ = {sample_size}, k = {k}"
+            );
+        }
+    }
+
+    #[test]
+    fn the_tie_break_word_is_drawn_only_on_a_tie() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let untouched = rng.clone();
+        assert_eq!(majority_index_on_ties(&[3, 9, 2, 8], &mut rng), 1);
+        assert_eq!(rng, untouched);
+        let pick = majority_index_on_ties(&[3, 9, 2, 9], &mut rng);
+        assert!(pick == 1 || pick == 3);
+        assert_ne!(rng, untouched);
     }
 
     #[test]

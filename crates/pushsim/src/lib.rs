@@ -89,13 +89,15 @@
 //! (the batched paths are distribution-preserving reformulations, checked
 //! empirically in `tests/equivalence.rs`); "equivalent at phase
 //! granularity" means the per-phase aggregate law is the process-P one the
-//! paper transfers to the other processes w.h.p. Three bounded
+//! paper transfers to the other processes w.h.p. Four bounded
 //! approximations qualify the counting backend's "exact": the Poisson
 //! upper tail switches to a continuity-corrected normal approximation
 //! beyond mean 600 (absolute error < 10⁻³; see
 //! [`counting::poisson_tail_ge`]), bulk sample-majority adoption beyond
 //! 65 536 switchers uses an empirical-frequency split (≈ 0.4%
-//! perturbation; see [`counting::sample_majority_splits`]), and rules
+//! perturbation; see [`counting::sample_majority_splits`]), a sample
+//! composed message by message draws each message with a 64-bit
+//! fixed-point coin (each opinion's probability within `2k · 2⁻⁶⁴`), and rules
 //! that resample the *same* inbox more than once with replacement (only
 //! the median baseline dynamics does) are mean-field approximated.
 //!

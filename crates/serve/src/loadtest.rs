@@ -9,8 +9,8 @@
 //!
 //! The `xp load` subcommand wraps this: it self-hosts a server on an
 //! ephemeral port, computes the expected bytes locally, runs the
-//! harness, and emits a throughput/latency report suitable for
-//! appending to BENCH_pushsim.json.
+//! harness, and prints a throughput/latency report (text, or one JSON
+//! object with `--json`).
 
 use crate::http;
 

@@ -11,9 +11,13 @@
 //! | `GET /v1/runs/{id}/stream` | Chunked JSONL of the job's output, following live    |
 //! |                          | progress; truncated (no terminating chunk) on failure. |
 //! | `GET /v1/healthz`        | Liveness probe.                                        |
-//! | `GET /v1/stats`          | Queue depth, in-flight, cache hit/miss/eviction        |
-//! |                          | counters.                                              |
+//! | `GET /v1/stats`          | Queue depth, in-flight, worker panics, job and cache   |
+//! |                          | hit/miss/eviction counters.                            |
 //! | `POST /v1/shutdown`      | Graceful shutdown; `404` unless enabled in config.     |
+//!
+//! A job whose handler panics is contained: it becomes `failed` with the
+//! panic message, the worker thread survives and takes the next job, and
+//! `worker_panics` in `/v1/stats` counts it.
 //!
 //! Identical concurrent submissions are **coalesced** onto one job,
 //! and finished output is cached under the submission's content
@@ -24,9 +28,11 @@ use crate::http::{self, ChunkedWriter, Limits, Parsed, Request};
 use crate::lru::LruCache;
 use crate::queue::BoundedQueue;
 
+use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
@@ -81,6 +87,7 @@ struct Stats {
     cell_misses: AtomicU64,
     evictions: AtomicU64,
     in_flight: AtomicU64,
+    worker_panics: AtomicU64,
 }
 
 impl Stats {
@@ -321,13 +328,14 @@ impl<H: JobHandler> Inner<H> {
             (cache.bytes(), cache.entries(), cache.budget())
         };
         format!(
-            "{{\"queue_depth\":{},\"queue_capacity\":{},\"in_flight\":{},\"workers\":{},\"shutting_down\":{},\
+            "{{\"queue_depth\":{},\"queue_capacity\":{},\"in_flight\":{},\"workers\":{},\"worker_panics\":{},\"shutting_down\":{},\
 \"jobs\":{{\"submitted\":{},\"completed\":{},\"failed\":{},\"coalesced\":{},\"rejected\":{}}},\
 \"cache\":{{\"hits\":{},\"misses\":{},\"cell_hits\":{},\"cell_misses\":{},\"evictions\":{},\"bytes\":{},\"entries\":{},\"budget\":{}}}}}",
             self.queue.len(),
             self.queue.capacity(),
             s.in_flight.load(Ordering::Relaxed),
             self.config.workers.max(1),
+            s.worker_panics.load(Ordering::Relaxed),
             self.shutting_down(),
             s.submitted.load(Ordering::Relaxed),
             s.completed.load(Ordering::Relaxed),
@@ -475,13 +483,20 @@ impl<J> Write for JobWriter<'_, J> {
 
 fn run_job<H: JobHandler>(inner: &Arc<Inner<H>>, job: &Arc<Job<H::Job>>) {
     job.set_running();
-    let result = match job.cells.clone() {
+    // Unwind safety: every lock the job touches (its state, the job table,
+    // the cache) recovers from poison and is never left half-updated, and
+    // the job's partial output is discarded by `fail`.
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| match job.cells.clone() {
         Some(cells) => run_cells(inner, job, &cells),
         None => {
             let mut sink = JobWriter { job };
             inner.handler.run(&job.payload, &mut sink)
         }
-    };
+    }));
+    let result = outcome.unwrap_or_else(|payload| {
+        Stats::bump(&inner.stats.worker_panics);
+        Err(format!("job panicked: {}", panic_message(payload.as_ref())))
+    });
     match result {
         Ok(()) => {
             let out = job.finish();
@@ -498,6 +513,15 @@ fn run_job<H: JobHandler>(inner: &Arc<Inner<H>>, job: &Arc<Job<H::Job>>) {
         }
     }
     inner.retire(job);
+}
+
+/// The message of a panic payload (`panic!` with a literal or a format).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 fn run_cells<H: JobHandler>(

@@ -38,7 +38,8 @@ impl Gate {
 }
 
 /// Deterministic mock workload: three lines derived from the body;
-/// bodies starting with `fail` error instead.
+/// bodies starting with `fail` error instead, and bodies starting with
+/// `panic` panic.
 #[derive(Clone)]
 struct MockHandler {
     gate: Gate,
@@ -69,6 +70,9 @@ impl JobHandler for MockHandler {
         self.gate.wait();
         if job.starts_with("fail") {
             return Err(format!("job {job:?} exploded"));
+        }
+        if job.starts_with("panic") {
+            panic!("job {job:?} panicked in the handler");
         }
         sink.write_all(&expected_output(job)).map_err(|e| e.to_string())
     }
@@ -255,6 +259,42 @@ fn failed_jobs_report_errors_on_status_and_stream() {
     assert!(status.text().contains("exploded"), "{}", status.text());
     let stream = get(addr, &format!("/v1/runs/{id}/stream"));
     assert_eq!(stream.status, 500, "{}", stream.text());
+    handle.shutdown_and_wait();
+}
+
+/// A panicking handler fails its job instead of killing its worker: with a
+/// single worker, the next job still runs to completion.
+#[test]
+fn a_panicking_job_fails_and_its_worker_survives() {
+    let config = ServerConfig {
+        workers: 1,
+        ..test_config()
+    };
+    let handle = start(config, Gate::new(true));
+    let addr = handle.addr();
+    let submitted = Instant::now();
+    let id = json_u64(&post(addr, "/v1/runs", "panic-now").text(), "id");
+    let status = wait_for_done(addr, id);
+    assert!(
+        submitted.elapsed() < Duration::from_secs(1),
+        "the panicked job took {:?} to fail",
+        submitted.elapsed()
+    );
+    let text = status.text();
+    assert!(text.contains("\"failed\""), "{text}");
+    assert!(text.contains("panicked in the handler"), "{text}");
+    let stream = get(addr, &format!("/v1/runs/{id}/stream"));
+    assert_eq!(stream.status, 500, "{}", stream.text());
+    // The same (only) worker takes the next job.
+    let next = json_u64(&post(addr, "/v1/runs", "after the panic").text(), "id");
+    assert!(wait_for_done(addr, next).text().contains("\"done\""));
+    let stream = get(addr, &format!("/v1/runs/{next}/stream"));
+    assert_eq!(stream.body, expected_output("after the panic"));
+    let stats = get(addr, "/v1/stats").text();
+    assert_eq!(json_u64(&stats, "worker_panics"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "failed"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "completed"), 1, "{stats}");
+    assert_eq!(json_u64(&stats, "in_flight"), 0, "{stats}");
     handle.shutdown_and_wait();
 }
 
