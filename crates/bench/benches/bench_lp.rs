@@ -50,7 +50,6 @@ fn bench_covering(c: &mut Criterion) {
 
 fn configured() -> Criterion {
     Criterion::default()
-        .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_millis(1500))
 }

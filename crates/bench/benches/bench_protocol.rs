@@ -11,7 +11,6 @@ use std::time::Duration;
 
 fn bench_rumor_spreading_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("protocol_rumor_spreading");
-    group.sample_size(10);
     for &n in &[500usize, 2_000] {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             let eps = 0.3;
@@ -65,7 +64,6 @@ fn bench_schedule_computation(c: &mut Criterion) {
 
 fn configured() -> Criterion {
     Criterion::default()
-        .sample_size(10)
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(3))
 }

@@ -319,8 +319,8 @@ fn f7_spec(scale: Scale) -> ScenarioSpec {
 
 /// F4 — Proposition 1 (and Lemmas 9–11): the sample-majority gap dominates
 /// the analytic lower bound `√(2ℓ/π)·g(δ,ℓ)/4^{k−2}` on a `(k, ℓ, δ)`
-/// grid. A pure `gap` spec: `trials` Monte-Carlo samples per cell, exact
-/// binomial column for k = 2.
+/// grid. A pure `gap` spec: `trials` Monte-Carlo samples per cell, and the
+/// exact gap from the sample-majority law at every k.
 fn f4_spec(scale: Scale) -> ScenarioSpec {
     // The gap is evaluated below the simulation level; n is unused.
     let mut spec = ScenarioSpec::new(

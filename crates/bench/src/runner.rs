@@ -42,6 +42,7 @@ use gossip_analysis::observe::{
 use gossip_analysis::stats::SampleStats;
 use gossip_analysis::sweep::derive_seed;
 use gossip_analysis::table::{json_line, Table};
+use noisy_channel::sampling::majority_pmf;
 use noisy_channel::{NoiseMatrix, NoiseSpec};
 use opinion_dynamics::{DynamicsOutcome, RuleSpec};
 use plurality_core::observe::{Fanout, NoObserver, Observer, StopCondition};
@@ -121,8 +122,8 @@ pub struct GapSummary {
     pub measured: f64,
     /// The Proposition 1 analytic lower bound.
     pub bound: f64,
-    /// The exact binomial gap (`k = 2` only).
-    pub exact: Option<f64>,
+    /// The exact gap, from the sample-majority law [`majority_pmf`].
+    pub exact: f64,
     /// Whether the measured gap dominates the bound up to the Monte-Carlo
     /// noise floor `3/√trials`.
     pub holds: bool,
@@ -405,9 +406,7 @@ fn format_metric(metric: Metric, result: &PointResult) -> String {
         PointSummary::Gap(s) => match metric {
             Metric::Gap => format!("{:.4}", s.measured),
             Metric::GapBound => format!("{:.4}", s.bound),
-            Metric::GapExact => {
-                s.exact.map_or_else(|| "-".to_string(), |e| format!("{e:.4}"))
-            }
+            Metric::GapExact => format!("{:.4}", s.exact),
             Metric::GapHolds => s.holds.to_string(),
             other => unreachable!("metric {other} on a gap scenario"),
         },
@@ -760,9 +759,10 @@ impl Runner {
     }
 
     /// The Monte-Carlo sample-majority gap of one `(k, ℓ, δ)` grid cell
-    /// (Proposition 1 / Lemmas 9–11). `spec.trials` is the number of
-    /// Monte-Carlo samples; each cell derives its own RNG from the base
-    /// seed, so cells are independent of grid shape and order.
+    /// (Proposition 1 / Lemmas 9–11), beside the exact gap from the
+    /// sample-majority law. `spec.trials` is the number of Monte-Carlo
+    /// samples; each cell derives its own RNG from the base seed, so cells
+    /// are independent of grid shape and order.
     fn gap_point(&self, point: GridPoint) -> GapSummary {
         let spec = &self.spec;
         let ell = point.ell.expect("gap points carry ell");
@@ -772,7 +772,8 @@ impl Runner {
         let dist = biased_received_distribution(point.k, delta);
         let measured = bounds::sample_majority_gap(&dist, ell, 0, 1, trials, &mut rng);
         let bound = bounds::proposition1_lower_bound(delta, ell, point.k);
-        let exact = (point.k == 2).then(|| bounds::exact_majority_gap_binary(dist[0], ell));
+        let law = majority_pmf(ell, &dist);
+        let exact = law[0] - law[1];
         // Allow the Monte-Carlo noise floor when comparing.
         let holds = measured >= bound - 3.0 / (trials as f64).sqrt();
         GapSummary {
@@ -1325,14 +1326,12 @@ mod tests {
                 panic!("gap scenarios produce gap summaries");
             };
             assert!(gap.holds, "Proposition 1 must hold at {:?}", point.point);
-            assert_eq!(gap.exact.is_some(), point.point.k == 2);
-            if let Some(exact) = gap.exact {
-                assert!(
-                    (gap.measured - exact).abs() < 0.05,
-                    "Monte-Carlo ({}) far from exact ({exact})",
-                    gap.measured
-                );
-            }
+            assert!(
+                (gap.measured - gap.exact).abs() < 0.05,
+                "Monte-Carlo ({}) far from exact ({})",
+                gap.measured,
+                gap.exact
+            );
         }
         let table = report.to_table();
         assert_eq!(table.headers()[..3], ["k", "ell", "delta"].map(String::from));

@@ -337,7 +337,7 @@ pub enum Metric {
     Gap,
     /// The Proposition 1 analytic lower bound (`gap` scenarios).
     GapBound,
-    /// Exact binomial gap, defined for `k = 2` (`gap` scenarios).
+    /// The exact gap, from the sample-majority law (`gap` scenarios).
     GapExact,
     /// Whether the measured gap dominates the bound up to the Monte-Carlo
     /// noise floor (`gap` scenarios).
@@ -420,7 +420,7 @@ impl Metric {
             Metric::Share => "mean plurality share",
             Metric::Gap => "measured gap",
             Metric::GapBound => "Prop.1 bound",
-            Metric::GapExact => "exact (k=2)",
+            Metric::GapExact => "exact gap",
             Metric::GapHolds => "bound holds",
             Metric::TotalReceived => "total received",
             Metric::MeanReceived => "mean recv/node",

@@ -24,11 +24,11 @@
 //! Stage 2 (its sample-majority operator, `pushsim::counting`) is pinned by
 //! `fixtures/counting_stage2_trajectory.jsonl`: the streamed trajectory of
 //! `fixtures/counting_stage2_trajectory.spec` (k = 2, 8, 32, 64 at
-//! n = 10⁵, ℓ = 129). Its k = 2 rows come from the conditional-binomial
-//! chain and date from before that sampler's setup was hoisted out of its
-//! per-draw loop; the k = 8, 32 and 64 rows come from the per-message
-//! alias sampler those cells select, and were re-captured when it was
-//! added.
+//! n = 10⁵, ℓ = 129). Its k = 2 and k = 8 rows come from the exact-law
+//! route (one multinomial over the sample-majority pmf) and were
+//! re-captured when that route was added; the k = 32 and 64 rows come from
+//! the per-message alias sampler those cells select, and were re-captured
+//! when it was added.
 
 use noisy_bench::registry;
 use noisy_bench::runner::Runner;

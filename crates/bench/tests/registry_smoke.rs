@@ -50,3 +50,29 @@ fn spec_backed_experiments_expose_valid_specs_at_both_scales() {
         }
     }
 }
+
+#[test]
+fn f4_exact_gap_matches_the_monte_carlo_gap_beyond_two_opinions() {
+    use noisy_bench::runner::{PointSummary, Runner};
+    let mut spec = registry::find("f4")
+        .and_then(|f4| f4.spec(Scale::Quick))
+        .expect("f4 is a spec");
+    spec.sweep.k = vec![3, 4, 5];
+    // The measured gap is a difference of two frequencies over `trials`
+    // samples: its standard error is at most 1/√trials.
+    let band = 4.0 / (spec.trials as f64).sqrt();
+    let report = Runner::new(spec).unwrap().run().unwrap();
+    assert_eq!(report.points().len(), 3 * 4 * 4);
+    for point in report.points() {
+        let PointSummary::Gap(gap) = &point.summary else {
+            panic!("f4 produces gap summaries");
+        };
+        assert!(
+            (gap.exact - gap.measured).abs() <= band,
+            "{:?}: exact {} vs measured {} (band {band})",
+            point.point,
+            gap.exact,
+            gap.measured
+        );
+    }
+}

@@ -6,14 +6,16 @@
 //! * [`proposition1_lower_bound`] — the sample-majority gap lower bound
 //!   `√(2ℓ/π) · g(δ, ℓ) / 4^{k−2}` of Proposition 1.
 //! * [`exact_majority_gap_binary`] — the exact value of
-//!   `Pr[maj_ℓ = 1] − Pr[maj_ℓ = 2]` for two opinions, computed from
-//!   binomial sums (the quantity Lemma 9 lower-bounds).
+//!   `Pr[maj_ℓ = 1] − Pr[maj_ℓ = 2]` for two opinions, from the exact
+//!   sample-majority law [`majority_pmf`] (the quantity Lemma 9
+//!   lower-bounds; the same law gives the gap at every `k`).
 //! * [`sample_majority_gap`] — a Monte-Carlo estimator of the same gap for
 //!   arbitrary `k` (the quantity Proposition 1 lower-bounds).
 //! * [`lemma16_tail_bound`] — the Chernoff-style tail bound of Lemma 16.
 //! * [`rounds_bound`] and [`memory_bound_bits`] — the asymptotic complexity
 //!   scales of Theorems 1 and 2.
 
+use noisy_channel::sampling::majority_pmf;
 use rand::Rng;
 
 /// The function `g(δ, ℓ)` of Proposition 1:
@@ -62,73 +64,19 @@ pub fn proposition1_lower_bound(delta: f64, ell: u64, k: usize) -> f64 {
 
 /// Exact value of `Pr[maj_ℓ = 1] − Pr[maj_ℓ = 2]` for `k = 2` opinions when
 /// each of the `ℓ` sampled messages is opinion 1 independently with
-/// probability `p1` (ties broken uniformly at random).
+/// probability `p1` (ties broken uniformly at random): the difference of
+/// the two entries of [`majority_pmf`].
 ///
 /// This is the quantity that Lemma 9 lower-bounds by `√(2ℓ/π)·g(2p1−1, ℓ)`.
 ///
 /// # Panics
 ///
-/// Panics if `p1 ∉ [0, 1]` or `ell` is 0 or too large for exact summation
-/// (`ell > 10_000`).
+/// Panics if `p1 ∉ [0, 1]` or `ell` is 0.
 pub fn exact_majority_gap_binary(p1: f64, ell: u64) -> f64 {
     assert!((0.0..=1.0).contains(&p1), "p1 must lie in [0, 1]");
-    assert!((1..=10_000).contains(&ell), "ell must lie in [1, 10000]");
-    let l = ell as usize;
-    let p2 = 1.0 - p1;
-    // Binomial pmf via iterative updates to avoid factorial overflow.
-    // pmf(i) = C(l, i) p1^i p2^(l-i).
-    let mut pmf = vec![0.0f64; l + 1];
-    // Start from the largest term computed in log-space for stability.
-    for (i, value) in pmf.iter_mut().enumerate() {
-        let log_c = log_binomial(l as u64, i as u64);
-        let log_p = if p1 > 0.0 { i as f64 * p1.ln() } else { f64::NEG_INFINITY };
-        let log_q = if p2 > 0.0 {
-            (l - i) as f64 * p2.ln()
-        } else {
-            f64::NEG_INFINITY
-        };
-        *value = match (i, l - i) {
-            (0, _) => log_q.exp() * log_c.exp(),
-            (_, 0) => log_p.exp() * log_c.exp(),
-            _ => (log_c + log_p + log_q).exp(),
-        };
-    }
-    let mut win1 = 0.0;
-    let mut win2 = 0.0;
-    for (i, &prob) in pmf.iter().enumerate() {
-        let ones = i as f64;
-        let twos = (l - i) as f64;
-        if ones > twos {
-            win1 += prob;
-        } else if twos > ones {
-            win2 += prob;
-        } else {
-            win1 += prob / 2.0;
-            win2 += prob / 2.0;
-        }
-    }
-    win1 - win2
-}
-
-/// `ln C(n, k)` via the log-gamma function (Stirling-series implementation,
-/// accurate to ~1e-10 for the ranges used here).
-fn log_binomial(n: u64, k: u64) -> f64 {
-    if k > n {
-        return f64::NEG_INFINITY;
-    }
-    ln_factorial(n) - ln_factorial(k) - ln_factorial(n - k)
-}
-
-/// `ln(n!)` — exact summation for small `n`, Stirling's series beyond.
-fn ln_factorial(n: u64) -> f64 {
-    if n < 64 {
-        (2..=n).map(|i| (i as f64).ln()).sum()
-    } else {
-        let x = n as f64;
-        // Stirling series with the first two correction terms.
-        x * x.ln() - x + 0.5 * (2.0 * std::f64::consts::PI * x).ln() + 1.0 / (12.0 * x)
-            - 1.0 / (360.0 * x.powi(3))
-    }
+    assert!(ell >= 1, "ell must be at least 1");
+    let q = majority_pmf(ell, &[p1, 1.0 - p1]);
+    q[0] - q[1]
 }
 
 /// Monte-Carlo estimate of the sample-majority gap
@@ -350,15 +298,5 @@ mod tests {
         assert!(rounds_bound(100_000, 0.1) > rounds_bound(1_000, 0.1));
         assert!(rounds_bound(1_000, 0.05) > rounds_bound(1_000, 0.1));
         assert!(memory_bound_bits(1 << 20, 0.1) > memory_bound_bits(1 << 10, 0.1));
-    }
-
-    #[test]
-    fn ln_factorial_is_accurate() {
-        // Compare against direct summation for a value above the Stirling
-        // threshold.
-        let direct: f64 = (2..=100u64).map(|i| (i as f64).ln()).sum();
-        assert!((ln_factorial(100) - direct).abs() < 1e-8);
-        assert_eq!(ln_factorial(0), 0.0);
-        assert_eq!(ln_factorial(1), 0.0);
     }
 }

@@ -33,9 +33,16 @@
 //!   channel output per message from it, and the counting backend's sample
 //!   majority draws a small sample message by message from it instead of
 //!   running the `k − 1` binomials of the chain.
+//! * [`majority_pmf`] — the exact law of the sample majority
+//!   `maj(Multinomial(ℓ, p))`, computed once so that any number of
+//!   sample-majority draws is one multinomial over it.
 
 use rand::Rng;
 use std::ops::Sub;
+
+mod majority;
+
+pub use majority::majority_pmf;
 
 /// Natural log of the Gamma function, via the Lanczos approximation
 /// (g = 7, n = 9); absolute error below 1e-13 over the positive reals.

@@ -12,18 +12,21 @@
 //! `10⁸` runs in the time the agent-level backend needs for `n = 10⁴`.
 //!
 //! Not every decision operator is that cheap. Sample majority (Stage 2 and
-//! h-majority dynamics, [`sample_majority_splits`]) draws up to 65 536
-//! multinomial compositions of the sample size `ℓ` per call, and it
-//! dominates counting-backend runs. Each composition is drawn the cheaper
-//! of two ways, with the setup paid once per call: message by message
-//! (`ℓ` one-word draws from an alias table, about 3–4 ns each) when
-//! `ℓ < 28 · (k − 1)`, otherwise by the conditional-binomial chain (`k − 1`
-//! binomials, about 45–130 ns each). The alias draw's 64-bit coin moves
-//! each opinion's probability by at most `2k · 2⁻⁶⁴`; otherwise both draw
-//! the same multinomial. At n = 10⁶ and ℓ = 129 one call takes about 8 ms
-//! at k = 2 (chain) and 34 ms at k = 64 (message by message)
-//! (`pushsim_counting_majority` in `BENCH_pushsim.json`), against
-//! microseconds for the rest of the phase.
+//! h-majority dynamics, [`sample_majority_splits`]) dominates
+//! counting-backend runs, and each call takes the cheapest of three routes
+//! for its `(count, ℓ, k)`. The exact law: [`majority_pmf`] computes
+//! `P(maj = i)` once and the split is one multinomial, at a cost that does
+//! not depend on the count. It takes `O(ℓ)` at k = 2, which always takes
+//! it, and grows roughly as `(k·ℓ)²` beyond. Otherwise the call samples up
+//! to 65 536 compositions, message by message from an alias table (`ℓ`
+//! one-word draws, about 3–4 ns each) when `ℓ < 28 · (k − 1)`, else by
+//! the conditional-binomial chain (`k − 1` binomials, about 45–130 ns
+//! each), and splits the rest by their empirical frequencies. The alias
+//! draw's 64-bit coin moves each opinion's probability by at most
+//! `2k · 2⁻⁶⁴`. At n = 10⁶ and ℓ = 129 one call takes a few µs at k = 2
+//! and about 1 ms at k = 8 (exact law), and about 30 ms at k = 32 and 64
+//! (message by message) (`pushsim_counting_majority` in
+//! `BENCH_pushsim.json`), against microseconds for the rest of the phase.
 //!
 //! ## Semantics: process P, exactly
 //!
@@ -59,7 +62,9 @@ use crate::error::SimError;
 use crate::fault::FaultSpec;
 use crate::network::{membership_count, ChurnState, RoundReport, ScheduledNoise, FAULT_SEED_SALT};
 use crate::opinion::Opinion;
-use noisy_channel::sampling::{binomial, multinomial, AliasTable, PreparedMultinomial};
+use noisy_channel::sampling::{
+    binomial, majority_pmf, multinomial, AliasTable, PreparedMultinomial,
+};
 use noisy_channel::NoiseMatrix;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -194,49 +199,105 @@ fn majority_index_on_ties<R: Rng + ?Sized>(counts: &[u64], rng: &mut R) -> usize
     }
 }
 
-/// How many exact per-draw samples [`sample_majority_splits`] takes before
-/// switching to the estimated-pmf bulk path.
+/// How many exact per-draw samples a sampler route of
+/// [`sample_majority_splits`] takes before switching to the estimated-pmf
+/// bulk path.
 const MAJORITY_EXACT_CAP: u64 = 65_536;
 
 /// How many one-word alias draws cost about one conditional binomial of
-/// the chain: [`sample_majority_splits`] composes message by message when
+/// the chain: a sampler route composes message by message when
 /// `sample_size < MESSAGES_PER_BINOMIAL · (k − 1)`.
 const MESSAGES_PER_BINOMIAL: u64 = 28;
 
-/// Whether [`sample_majority_splits`] draws each composition of
-/// `sample_size` messages over `k` opinions message by message (`true`) or
-/// by the conditional-binomial chain (`false`): whichever is cheaper.
-fn composes_by_message(sample_size: u64, k: usize) -> bool {
-    sample_size < MESSAGES_PER_BINOMIAL * (k as u64).saturating_sub(1)
+/// The exact law's price in one-word alias draws is `(k·ℓ)² / PMF_TERMS_PER_MESSAGE`
+/// ([`majority_pmf`] at `k ≥ 3`, fitted to its measured cost for
+/// `3 ≤ k ≤ 16` and `15 ≤ ℓ ≤ 885`; the fit is within about 3× and
+/// errs towards the samplers).
+const PMF_TERMS_PER_MESSAGE: u64 = 2;
+
+/// The exact law's scratch is at most `(k + 3) · k · (ℓ + 1)` `f64`s
+/// ([`majority_pmf`]); it is taken only where that stays within this many
+/// (256 KiB), so a call never grows a run's memory by more.
+const PMF_SCRATCH_COEFFICIENTS: u64 = 32_768;
+
+/// How one [`sample_majority_splits`] call draws its split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum MajorityRoute {
+    /// One multinomial over the exact law [`majority_pmf`].
+    Pmf,
+    /// Sampled compositions, each drawn message by message from an alias
+    /// table.
+    ByMessage,
+    /// Sampled compositions, each drawn by the conditional-binomial chain.
+    ByChain,
+}
+
+/// The cheapest route for `count` sample majorities of `sample_size`
+/// messages over `k` opinions, by the prices [`sample_majority_splits`]
+/// documents. Two opinions always take the exact law (an `O(ℓ)` binomial
+/// tail).
+fn majority_route(count: u64, sample_size: u64, k: usize) -> MajorityRoute {
+    let opinions = k as u64;
+    if opinions <= 2 {
+        return MajorityRoute::Pmf;
+    }
+    let chain = MESSAGES_PER_BINOMIAL * (opinions - 1);
+    let sampler = if sample_size < chain {
+        MajorityRoute::ByMessage
+    } else {
+        MajorityRoute::ByChain
+    };
+    let sampler_work = count
+        .min(MAJORITY_EXACT_CAP)
+        .saturating_mul(sample_size.min(chain));
+    let pmf_work = opinions.saturating_mul(sample_size).saturating_pow(2) / PMF_TERMS_PER_MESSAGE;
+    let pmf_scratch = (opinions + 3)
+        .saturating_mul(opinions)
+        .saturating_mul(sample_size.saturating_add(1));
+    let pmf_fits = pmf_scratch <= PMF_SCRATCH_COEFFICIENTS;
+    if pmf_fits && pmf_work < sampler_work {
+        MajorityRoute::Pmf
+    } else {
+        sampler
+    }
 }
 
 /// Distributes `count` iid draws of `maj(Multinomial(sample_size, weights))`
 /// over the opinions: the count-level form of Stage 2's sample-majority
 /// adoption (and of h-majority dynamics).
 ///
-/// Up to `MAJORITY_EXACT_CAP` (65 536) draws are sampled exactly: one
-/// composition of `Multinomial(sample_size, weights)` and a tie-broken
-/// argmax each. A composition is drawn one of two ways, whichever is
-/// cheaper for the call's `ℓ = sample_size` and `k = weights.len()`:
+/// Each call takes one of three routes, the cheapest for its `count`,
+/// `ℓ = sample_size` and `k = weights.len()`. Measured in one-word alias
+/// draws (about 3–4 ns each), the exact law is priced at `(k·ℓ)² / 2` and
+/// the samplers at `min(count, 65 536)` compositions of
+/// `min(ℓ, 28 · (k − 1))` draws each:
 ///
-/// * **message by message** when `ℓ < 28 · (k − 1)`: `ℓ` categorical draws
-///   from one [`AliasTable`] built once per call from the integer weights,
-///   one random word each (its quantization moves each category's
-///   probability by at most `2k · 2⁻⁶⁴`), counted into a reused buffer. The
-///   tie-break word is drawn only when the maximum is tied. Cost `O(ℓ)` per
-///   composition.
-/// * **by the conditional-binomial chain** otherwise: `k − 1` conditional
-///   binomials ([`PreparedMultinomial`], set up once per call), each about
-///   as dear as 28 alias draws. Cost `O(k)` per composition, whatever `ℓ`.
-///   Its RNG stream is the one a fresh one-shot multinomial per composition
-///   would draw.
+/// * **the exact law**: [`majority_pmf`] computes
+///   `q_i = P(maj = i)` once, and the split is one `Multinomial(count, q)`.
+///   Exact for every `count`, at a cost that does not depend on it: `O(ℓ)`
+///   at `k = 2` (every two-opinion call takes this route), and growing
+///   roughly as `(k·ℓ)²` from three opinions on, where it is taken when
+///   cheaper than the samplers and its scratch stays within 256 KiB.
+/// * **sampled compositions**, otherwise: up to `MAJORITY_EXACT_CAP`
+///   (65 536) draws are sampled exactly, one composition of
+///   `Multinomial(sample_size, weights)` and a tie-broken argmax each. A
+///   composition is drawn message by message when `ℓ < 28 · (k − 1)`: `ℓ`
+///   categorical draws from one [`AliasTable`] built once per call from the
+///   integer weights, one random word each (its quantization moves each
+///   category's probability by at most `2k · 2⁻⁶⁴`), counted into a reused
+///   buffer, with the tie-break word drawn only when the maximum is tied;
+///   `O(ℓ)` per composition. Otherwise it is drawn by the
+///   conditional-binomial chain: `k − 1` conditional binomials
+///   ([`PreparedMultinomial`], set up once per call), each about as dear as
+///   28 alias draws; `O(k)` per composition, and the RNG stream a fresh
+///   one-shot multinomial per composition would draw. Beyond the cap, the
+///   remaining draws are split by a single multinomial over the empirical
+///   frequencies of the exact draws (the bulk path): a `O(1/√cap) ≈ 0.4%`
+///   absolute perturbation of the adoption probabilities, reached only on
+///   these routes.
 ///
-/// Both draw the same multinomial and the same uniform tie-break, so the
-/// law of the result does not depend on the choice. Beyond the cap, the
-/// remaining draws are split by a single multinomial over the empirical
-/// frequencies of the exact draws — a `O(1/√cap) ≈ 0.4%` perturbation of
-/// the adoption probabilities, far below the phase-level sampling noise at
-/// the population sizes where the cap binds.
+/// All routes draw from the same law up to the alias quantization and the
+/// bulk path; which one runs changes only the random stream.
 ///
 /// Returns per-opinion adoption counts summing to exactly `count`.
 pub fn sample_majority_splits<R: Rng + ?Sized>(
@@ -245,17 +306,16 @@ pub fn sample_majority_splits<R: Rng + ?Sized>(
     weights: &[u64],
     rng: &mut R,
 ) -> Vec<u64> {
-    let by_message = composes_by_message(sample_size, weights.len());
-    majority_splits_with(count, sample_size, weights, by_message, rng)
+    let route = majority_route(count, sample_size, weights.len());
+    majority_splits_with(count, sample_size, weights, route, rng)
 }
 
-/// [`sample_majority_splits`] with the composition sampler chosen by the
-/// caller.
+/// [`sample_majority_splits`] along the route chosen by the caller.
 fn majority_splits_with<R: Rng + ?Sized>(
     count: u64,
     sample_size: u64,
     weights: &[u64],
-    by_message: bool,
+    route: MajorityRoute,
     rng: &mut R,
 ) -> Vec<u64> {
     let mut out = vec![0u64; weights.len()];
@@ -263,10 +323,15 @@ fn majority_splits_with<R: Rng + ?Sized>(
         return out;
     }
     let exact = count.min(MAJORITY_EXACT_CAP);
-    if by_message {
-        majorities_by_message(exact, sample_size, weights, &mut out, rng);
-    } else {
-        majorities_by_chain(exact, sample_size, weights, &mut out, rng);
+    match route {
+        MajorityRoute::Pmf => {
+            let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+            return multinomial(count, &majority_pmf(sample_size, &weights_f), rng);
+        }
+        MajorityRoute::ByMessage => {
+            majorities_by_message(exact, sample_size, weights, &mut out, rng)
+        }
+        MajorityRoute::ByChain => majorities_by_chain(exact, sample_size, weights, &mut out, rng),
     }
     if count > exact {
         let freq: Vec<f64> = out.iter().map(|&c| c as f64).collect();
@@ -1364,13 +1429,13 @@ mod tests {
             let mut a = StdRng::seed_from_u64(seed as u64);
             let mut b = a.clone();
             assert_eq!(
-                majority_splits_with(count, sample_size, weights, false, &mut a),
+                majority_splits_with(count, sample_size, weights, MajorityRoute::ByChain, &mut a),
                 reference(&mut b),
                 "{case}"
             );
             assert_eq!(a, b, "RNG streams diverged: {case}");
-            // …and so does every call whose (ℓ, k) selects it.
-            if !composes_by_message(sample_size, weights.len()) {
+            // …and so does every call whose route is the chain.
+            if majority_route(count, sample_size, weights.len()) == MajorityRoute::ByChain {
                 let mut a = StdRng::seed_from_u64(seed as u64);
                 let mut b = a.clone();
                 assert_eq!(
@@ -1383,25 +1448,36 @@ mod tests {
         }
     }
 
-    #[test]
-    fn per_message_majorities_match_the_chain_in_law() {
+    /// Sample sizes and weights on which the routes must agree in law.
+    fn law_cases() -> Vec<(u64, Vec<u64>)> {
         let skewed: Vec<u64> = (0..64)
             .map(|j| if j % 7 == 0 { 0 } else { 200 - j })
             .collect();
-        let cases: [(u64, &[u64]); 6] = [
+        vec![
             // Equal weights and an even sample: ties are frequent, and
             // broken uniformly.
-            (4, &[1, 1]),
-            (6, &[5, 5, 5]),
-            (4, &[3, 2, 2]),
-            (7, &[0, 5, 0, 5, 1]),
-            (129, &[260, 140, 120, 110, 100, 90, 90, 90]),
-            (129, &skewed),
-        ];
+            (4, vec![1, 1]),
+            (6, vec![5, 5, 5]),
+            (4, vec![3, 2, 2]),
+            (7, vec![0, 5, 0, 5, 1]),
+            (129, vec![260, 140, 120, 110, 100, 90, 90, 90]),
+            (129, skewed),
+        ]
+    }
+
+    #[test]
+    fn per_message_majorities_match_the_chain_in_law() {
         let draws = MAJORITY_EXACT_CAP;
-        for (seed, (sample_size, weights)) in cases.into_iter().enumerate() {
+        for (seed, (sample_size, weights)) in law_cases().into_iter().enumerate() {
+            let weights = &weights[..];
             let mut rng = StdRng::seed_from_u64(100 + seed as u64);
-            let by_message = majority_splits_with(draws, sample_size, weights, true, &mut rng);
+            let by_message = majority_splits_with(
+                draws,
+                sample_size,
+                weights,
+                MajorityRoute::ByMessage,
+                &mut rng,
+            );
             let by_chain = reference_sample_majority_splits(draws, sample_size, weights, &mut rng);
             for (j, (&m, &c)) in by_message.iter().zip(&by_chain).enumerate() {
                 let (pm, pc) = (m as f64 / draws as f64, c as f64 / draws as f64);
@@ -1434,21 +1510,101 @@ mod tests {
     }
 
     #[test]
-    fn the_sampler_choice_follows_the_measured_crossover() {
-        assert_eq!(MESSAGES_PER_BINOMIAL, 28);
-        // Message by message where ℓ is small against k…
-        for (sample_size, k) in [(129, 8), (885, 64), (129, 32), (129, 64), (3, 3)] {
-            assert!(
-                composes_by_message(sample_size, k),
-                "ℓ = {sample_size}, k = {k}"
-            );
+    fn the_majority_pmf_matches_the_chain_in_law() {
+        let draws = MAJORITY_EXACT_CAP;
+        for (seed, (sample_size, weights)) in law_cases().into_iter().enumerate() {
+            let weights_f: Vec<f64> = weights.iter().map(|&w| w as f64).collect();
+            let q = majority_pmf(sample_size, &weights_f);
+            let mut rng = StdRng::seed_from_u64(200 + seed as u64);
+            let by_chain = reference_sample_majority_splits(draws, sample_size, &weights, &mut rng);
+            for (j, (&qj, &c)) in q.iter().zip(&by_chain).enumerate() {
+                let pc = c as f64 / draws as f64;
+                // Five standard errors of one frequency, plus one draw's
+                // worth for categories that are never won.
+                let band = 5.0 * (qj * (1.0 - qj) / draws as f64).sqrt() + 1.0 / draws as f64;
+                assert!(
+                    (qj - pc).abs() <= band,
+                    "sample size {sample_size}, weights {weights:?}, opinion {j}: \
+                     q = {qj:.4} vs {pc:.4} by chain (band {band:.4})"
+                );
+                if weights[j] == 0 {
+                    assert_eq!(qj, 0.0, "a zero-weight opinion has a majority probability");
+                }
+            }
         }
-        // …and the chain where it is not: every k = 2 cell, the k = 3,
-        // ℓ = 129 churn/burst cells, and large samples at moderate k.
-        for (sample_size, k) in [(129, 2), (885, 2), (129, 3), (885, 8), (885, 32), (5, 1)] {
-            assert!(
-                !composes_by_message(sample_size, k),
-                "ℓ = {sample_size}, k = {k}"
+    }
+
+    #[test]
+    fn exact_law_splits_follow_the_pmf_where_the_bulk_path_does_not() {
+        // A rare third opinion, q ≈ 2.4·10⁻⁴: about 15 of the 65 536
+        // sampled compositions, so the bulk path extrapolates its share
+        // with about 25 % error, far more than a multinomial's 6.5 %.
+        let (count, sample_size, weights) = (1_000_000u64, 129, [100u64, 100, 54]);
+        assert_eq!(majority_route(count, sample_size, 3), MajorityRoute::Pmf);
+        let q = majority_pmf(sample_size, &[100.0, 100.0, 54.0]);
+        assert!((2e-4..3e-4).contains(&q[2]), "q = {q:?}");
+        let splits = 10;
+        let chi2 = |route: MajorityRoute| -> f64 {
+            let mut rng = StdRng::seed_from_u64(12);
+            (0..splits)
+                .map(|_| {
+                    let split = majority_splits_with(count, sample_size, &weights, route, &mut rng);
+                    assert_eq!(split.iter().sum::<u64>(), count);
+                    split
+                        .iter()
+                        .zip(&q)
+                        .map(|(&o, &p)| {
+                            let expected = p * count as f64;
+                            (o as f64 - expected).powi(2) / expected
+                        })
+                        .sum::<f64>()
+                })
+                .sum()
+        };
+        // 20 degrees of freedom; their 99.9th percentile is 45.3.
+        let exact = chi2(MajorityRoute::Pmf);
+        assert!(exact < 45.3, "exact-law splits: χ² = {exact:.1}");
+        let bulk = chi2(MajorityRoute::ByChain);
+        assert!(bulk > 45.3, "bulk-path splits: χ² = {bulk:.1}");
+    }
+
+    #[test]
+    fn each_call_takes_the_cheapest_majority_route() {
+        use MajorityRoute::{ByChain, ByMessage, Pmf};
+        assert_eq!(MESSAGES_PER_BINOMIAL, 28);
+        assert_eq!(PMF_TERMS_PER_MESSAGE, 2);
+        assert_eq!(PMF_SCRATCH_COEFFICIENTS, 32_768);
+        // Every two-opinion call takes the exact law.
+        for count in [1, 100, 1_000_000] {
+            for sample_size in [1, 4, 129, 885, 10_000] {
+                assert_eq!(majority_route(count, sample_size, 2), Pmf);
+            }
+        }
+        let cases = [
+            // The exact law where it beats 65 536 compositions: k = 8 and
+            // the k = 3 churn/burst cells at ℓ = 129, 3-majority.
+            (1_000_000, 129, 8, Pmf),
+            (1_000_000, 129, 14, Pmf),
+            (1_000_000, 129, 3, Pmf),
+            (1_000_000, 885, 3, Pmf),
+            (1_000_000, 3, 3, Pmf),
+            // Its scratch outgrows 256 KiB at many opinions or long
+            // samples…
+            (1_000_000, 129, 15, ByMessage),
+            (1_000_000, 129, 32, ByMessage),
+            (1_000_000, 129, 64, ByMessage),
+            (1_000_000, 885, 64, ByMessage),
+            (1_000_000, 885, 8, ByChain),
+            (1_000_000, 885, 32, ByChain),
+            // …and a few compositions are cheaper than the law.
+            (100, 129, 8, ByMessage),
+            (2_000, 885, 6, ByChain),
+        ];
+        for (count, sample_size, k, route) in cases {
+            assert_eq!(
+                majority_route(count, sample_size, k),
+                route,
+                "count {count}, ℓ = {sample_size}, k = {k}"
             );
         }
     }
@@ -1466,11 +1622,12 @@ mod tests {
 
     #[test]
     fn majority_splits_bulk_path_stays_close_to_exact() {
-        // Push past MAJORITY_EXACT_CAP to exercise the estimated-pmf bulk.
+        // Push past MAJORITY_EXACT_CAP to exercise the estimated-pmf bulk
+        // of the sampler routes.
         let mut rng = StdRng::seed_from_u64(7);
         let weights = [55u64, 45];
         let n = 200_000u64;
-        let splits = sample_majority_splits(n, 61, &weights, &mut rng);
+        let splits = majority_splits_with(n, 61, &weights, MajorityRoute::ByChain, &mut rng);
         assert_eq!(splits.iter().sum::<u64>(), n);
         let frac = splits[0] as f64 / n as f64;
         // Exact adoption probability for maj(Multinomial(61, (0.55, 0.45)))

@@ -93,11 +93,14 @@
 //! approximations qualify the counting backend's "exact": the Poisson
 //! upper tail switches to a continuity-corrected normal approximation
 //! beyond mean 600 (absolute error < 10⁻³; see
-//! [`counting::poisson_tail_ge`]), bulk sample-majority adoption beyond
-//! 65 536 switchers uses an empirical-frequency split (≈ 0.4%
-//! perturbation; see [`counting::sample_majority_splits`]), a sample
-//! composed message by message draws each message with a 64-bit
-//! fixed-point coin (each opinion's probability within `2k · 2⁻⁶⁴`), and rules
+//! [`counting::poisson_tail_ge`]); a sample-majority call that samples
+//! compositions instead of taking the exact law (many opinions or long
+//! samples against its switcher count; see
+//! [`counting::sample_majority_splits`]) splits the switchers beyond
+//! 65 536 by empirical frequencies (≈ 0.4% absolute perturbation), and a
+//! sample it composes message by message draws each message with a
+//! 64-bit fixed-point coin (each opinion's probability within
+//! `2k · 2⁻⁶⁴`); and rules
 //! that resample the *same* inbox more than once with replacement (only
 //! the median baseline dynamics does) are mean-field approximated.
 //!
